@@ -61,45 +61,25 @@ fn shard_scale(c: &mut Criterion) {
     g.finish();
 }
 
-/// Rebalancing overhead on the Zipf-skewed web batch: the coordinated
-/// K = 4 runtime with no rebalancing, with epoch migration, with
-/// migration + stealing, and the threaded driver on the same config.
-/// Wall-clock cost of the rebalancer itself; the simulated-throughput
-/// *win* it buys is gated by `steal_gate`. The threaded row only shows
-/// its scale-out on multi-core hosts — on one core it documents the
-/// barrier-protocol overhead instead.
+/// Rebalancing overhead on the Zipf-skewed web batch at K = 4: static
+/// placement against epoch migration on the threaded driver. Wall-clock
+/// cost of the rebalancer itself; the simulated-throughput *win* it buys
+/// is gated by `rebalance_gate`. The rebalanced row only shows its
+/// scale-out on multi-core hosts — on one core it documents the barrier
+/// overhead instead.
 fn shard_skew(c: &mut Criterion) {
     let mut g = c.benchmark_group("shard_skew");
     g.sample_size(10);
     let specs = skewed_shards(4_000, 16, 1.5, 11);
-    let modes: [(&str, RebalanceConfig, bool); 4] = [
-        ("static", RebalanceConfig::default(), false),
-        (
-            "migrate",
-            RebalanceConfig::migrate_every(SimDuration::from_units_int(200)),
-            false,
-        ),
-        (
-            "migrate_steal",
-            RebalanceConfig::migrate_every(SimDuration::from_units_int(200)).with_steal(4),
-            false,
-        ),
-        (
-            "threaded",
-            RebalanceConfig::migrate_every(SimDuration::from_units_int(200)).with_steal(4),
-            true,
-        ),
-    ];
-    for (label, cfg, threaded) in modes {
+    let epoch = RebalanceConfig::migrate_every(SimDuration::from_units_int(200));
+    for (label, cfg) in [("static", None), ("rebalanced", Some(epoch))] {
         g.bench_with_input(BenchmarkId::new(label, 4_000), &specs, |b, specs| {
             b.iter_batched(
                 || specs.to_vec(),
                 |specs| {
-                    let mut rt = ShardedRuntime::new(specs, PolicyKind::asets_star())
-                        .shards(4)
-                        .rebalance(cfg);
-                    if threaded {
-                        rt = rt.threaded();
+                    let mut rt = ShardedRuntime::new(specs, PolicyKind::asets_star()).shards(4);
+                    if let Some(cfg) = cfg {
+                        rt = rt.rebalance(cfg);
                     }
                     black_box(rt.run().unwrap().merged.summary.avg_tardiness)
                 },

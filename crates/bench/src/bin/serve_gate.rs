@@ -24,7 +24,7 @@
 //! steady load) — counter conservation across the second pipeline.
 //!
 //! `--secs` (or `SERVE_GATE_SECS`) shrinks the steady soak for local
-//! runs; the summary JSON is provenance-stamped like `steal_gate`'s.
+//! runs; the summary JSON is provenance-stamped like `rebalance_gate`'s.
 
 use asets_experiments::serve::{
     check_conservation, run_serve, run_serve_with, ServeConfig, ServeMode, ServeReport,

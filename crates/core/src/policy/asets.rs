@@ -272,25 +272,6 @@ impl Scheduler for Asets {
         self.mf_srpt = s_tops;
     }
 
-    /// Latest-start steal candidates straight off the migration index: the
-    /// EDF-List members closest to going infeasible are exactly the ones
-    /// that gain the most from starting sooner on an idle shard. Paused
-    /// (partially-served) members are skipped — only never-served work is
-    /// stealable. SRPT-List members are already tardy everywhere, so they
-    /// are not offered.
-    fn steal_candidates(&self, table: &TxnTable, _now: SimTime, k: usize, out: &mut Vec<TxnId>) {
-        out.extend(
-            self.latest_start
-                .iter()
-                .map(|(_, id)| TxnId(id))
-                .filter(|&t| {
-                    table.state(t).phase == crate::txn::TxnPhase::Ready
-                        && table.remaining(t) == table.spec(t).length
-                })
-                .take(k),
-        );
-    }
-
     fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
         self.obs.attach(obs);
     }

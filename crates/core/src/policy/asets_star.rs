@@ -813,31 +813,6 @@ impl Scheduler for AsetsStar {
         self.mf_hdf = hdf_tops;
     }
 
-    fn steal_candidates(&self, table: &TxnTable, _now: SimTime, k: usize, out: &mut Vec<TxnId>) {
-        // Victims expose candidates in latest-start order (most deferrable
-        // first) via the migration index — the same `d_rep − r_rep` key the
-        // epoch migration scan uses. Only never-served ready heads are
-        // eligible: a stolen transaction restarts from its full length on
-        // the thief's table.
-        let mut tops: Vec<(u64, u32)> = Vec::new();
-        self.latest_start
-            .top_k_into(self.latest_start.len(), &mut tops);
-        let mut picked = 0usize;
-        for (_, w) in tops {
-            if picked >= k {
-                break;
-            }
-            let head = self.head_of(WfId(w), self.cfg.edf_head);
-            if table.state(head).phase == crate::txn::TxnPhase::Ready
-                && table.remaining(head) == table.spec(head).length
-                && !out.contains(&head)
-            {
-                out.push(head);
-                picked += 1;
-            }
-        }
-    }
-
     fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
         self.obs.attach(obs);
         // A mid-run attach must not replay an entry cached unobserved (its

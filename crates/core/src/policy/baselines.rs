@@ -389,14 +389,6 @@ impl Scheduler for Ready {
         }
     }
 
-    fn steal_candidates(&self, table: &TxnTable, now: SimTime, k: usize, out: &mut Vec<TxnId>) {
-        self.inner.steal_candidates(table, now, k, out);
-    }
-
-    fn on_stolen(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
-        self.inner.on_stolen(t, table, now);
-    }
-
     fn attach_observer(&mut self, obs: crate::obs::SharedObserver) {
         self.inner.attach_observer(obs);
     }

@@ -164,41 +164,6 @@ pub trait Scheduler {
         }
     }
 
-    /// Expose up to `k` steal candidates to a cross-shard coordinator:
-    /// ready, never-served transactions in the order this policy prefers to
-    /// surrender them — latest feasible start ascending, the migration key
-    /// (paper §III-A.2) that marks the work most likely to go tardy if it
-    /// keeps queueing here. The coordinator filters further (whole singleton
-    /// workflows only) and calls [`Scheduler::on_stolen`] for each take.
-    ///
-    /// Like `select` this *peeks*; the default derives the ranking from the
-    /// table, so every policy is stealable-from. Policies that already keep
-    /// a latest-start index override it with a `top_k_into` pass. See
-    /// DESIGN.md §12 for what stealing may observe.
-    fn steal_candidates(&self, table: &TxnTable, _now: SimTime, k: usize, out: &mut Vec<TxnId>) {
-        let mut ranked: Vec<(SimTime, TxnId)> = table
-            .ids()
-            .filter(|&t| {
-                let st = table.state(t);
-                st.phase == crate::txn::TxnPhase::Ready
-                    && table.remaining(t) == table.spec(t).length
-            })
-            .map(|t| (table.latest_start(t), t))
-            .collect();
-        ranked.sort_unstable();
-        out.extend(ranked.into_iter().take(k).map(|(_, t)| t));
-    }
-
-    /// `t` was stolen by another shard: forget it as if it completed — the
-    /// table has already retracted it to `Pending` ([`TxnTable::retract`]),
-    /// and it will arrive, run and complete on the thief. The default
-    /// reuses `on_complete`, which is pure removal for every in-tree
-    /// policy; override only if completion has aggregate side effects that
-    /// a steal must not trigger.
-    fn on_stolen(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
-        self.on_complete(t, table, now);
-    }
-
     /// The next instant at which this policy wants an extra scheduling point
     /// even if nothing arrives or completes (balance-aware activation timer).
     fn next_wakeup(&self, _now: SimTime) -> Option<SimTime> {
@@ -237,12 +202,6 @@ impl Scheduler for Box<dyn Scheduler> {
     }
     fn on_batch(&mut self, events: &[LifecycleEvent], table: &TxnTable, now: SimTime) {
         (**self).on_batch(events, table, now);
-    }
-    fn steal_candidates(&self, table: &TxnTable, now: SimTime, k: usize, out: &mut Vec<TxnId>) {
-        (**self).steal_candidates(table, now, k, out);
-    }
-    fn on_stolen(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
-        (**self).on_stolen(t, table, now);
     }
     fn next_wakeup(&self, now: SimTime) -> Option<SimTime> {
         (**self).next_wakeup(now)

@@ -347,8 +347,8 @@ impl<K: Ord + Copy> MinTree<K> {
     /// the smaller id), without removing them — the tournament-tree twin of
     /// [`KeyedQueue::top_k_into`]. The tree answers only the minimum in
     /// O(1), so this scans the leaves and partially sorts: O(n + k log k).
-    /// It is a cold-path primitive (multi-slot fills, steal-candidate
-    /// exposure), not part of per-event index maintenance.
+    /// It is a cold-path primitive (multi-slot fills), not part of
+    /// per-event index maintenance.
     pub fn top_k_into(&self, k: usize, out: &mut Vec<(K, u32)>) {
         if k == 0 || self.len == 0 {
             return;

@@ -29,7 +29,6 @@ pub struct TxnTable {
     states: Vec<TxnState>,
     dag: Arc<DepDag>,
     completed: usize,
-    ready: usize,
 }
 
 impl TxnTable {
@@ -42,7 +41,6 @@ impl TxnTable {
             states,
             dag: Arc::new(dag),
             completed: 0,
-            ready: 0,
         })
     }
 
@@ -62,15 +60,6 @@ impl TxnTable {
     #[inline]
     pub fn completed_count(&self) -> usize {
         self.completed
-    }
-
-    /// Number of transactions currently in the `Ready` phase (waiting,
-    /// not running) — an O(1) gauge maintained across every lifecycle
-    /// transition. Work stealing reads this constantly: a thief posts only
-    /// when its own count is zero, and victims are ranked by it.
-    #[inline]
-    pub fn ready_count(&self) -> usize {
-        self.ready
     }
 
     /// True iff every transaction has completed.
@@ -175,7 +164,6 @@ impl TxnTable {
         if st.blocked_on == 0 {
             st.phase = TxnPhase::Ready;
             st.ready_at = Some(now);
-            self.ready += 1;
             true
         } else {
             st.phase = TxnPhase::Blocked;
@@ -204,26 +192,6 @@ impl TxnTable {
         spec.deadline = now + sla;
     }
 
-    /// Undo an arrival: return a ready, never-dispatched `t` to `Pending`.
-    ///
-    /// This is the victim-side half of a cross-shard steal. The thief's
-    /// table re-`arrive`s the same global id, so the transaction must not
-    /// have accrued any service here (stealing partially-served work would
-    /// silently discard the credited time) and must have no released
-    /// dependents (only whole singleton workflows are stealable).
-    ///
-    /// # Panics
-    /// If `t` is not `Ready` or has already been served.
-    pub fn retract(&mut self, t: TxnId) {
-        let full = self.specs[t.index()].length;
-        let st = &mut self.states[t.index()];
-        assert_eq!(st.phase, TxnPhase::Ready, "{t} must be Ready to retract");
-        assert_eq!(st.remaining, full, "{t} already served; cannot retract");
-        st.phase = TxnPhase::Pending;
-        st.ready_at = None;
-        self.ready -= 1;
-    }
-
     /// Mark `t` as the running transaction.
     ///
     /// # Panics
@@ -232,7 +200,6 @@ impl TxnTable {
         let st = &mut self.states[t.index()];
         assert_eq!(st.phase, TxnPhase::Ready, "{t} must be Ready to run");
         st.phase = TxnPhase::Running;
-        self.ready -= 1;
     }
 
     /// Credit `served` time to the running transaction `t` (it keeps
@@ -269,7 +236,6 @@ impl TxnTable {
             "{t} paused with zero remaining — should complete instead"
         );
         self.states[t.index()].phase = TxnPhase::Ready;
-        self.ready += 1;
     }
 
     /// Count a genuine preemption of `t` (it was paused and a different
@@ -331,7 +297,6 @@ impl TxnTable {
             if st.blocked_on == 0 && st.phase == TxnPhase::Blocked {
                 st.phase = TxnPhase::Ready;
                 st.ready_at = Some(now);
-                self.ready += 1;
                 released.push(s);
             }
         }

@@ -67,7 +67,7 @@ impl Dump {
         })
     }
 
-    /// All cross-shard rebalancing actions (coordinated sharded runs).
+    /// All cross-shard migrations (rebalanced sharded runs).
     pub fn rebalances(&self) -> impl Iterator<Item = (u64, &RebalanceEvent)> {
         self.events.iter().filter_map(|(s, e)| match e {
             RecordedEvent::Rebalance(r) => Some((*s, r)),
@@ -356,23 +356,6 @@ fn parse_event(obj: &FlatObj) -> Result<(u64, RecordedEvent), String> {
                 txns: obj.int("txns").ok_or("missing txns")? as u32,
                 work_ticks: obj.int("work_ticks").ok_or("missing work_ticks")? as u64,
             },
-            Some("steal") => RebalanceEvent::Steal {
-                at,
-                txn: TxnId(obj.int("txn").ok_or("missing txn")? as u32),
-                from: obj.int("from").ok_or("missing from")? as u32,
-                to: obj.int("to").ok_or("missing to")? as u32,
-                // Dumps from before the threaded protocol carry no request
-                // or grant clocks; those steals were synchronous sweeps, so
-                // both default to the grab instant.
-                requested_at: obj
-                    .int("requested_at")
-                    .map(|t| SimTime::from_ticks(t as u64))
-                    .unwrap_or(at),
-                granted_at: obj
-                    .int("granted_at")
-                    .map(|t| SimTime::from_ticks(t as u64))
-                    .unwrap_or(at),
-            },
             other => return Err(format!("unknown rebalance action {other:?}")),
         }),
         Some("admission") => RecordedEvent::Admission(AdmissionEvent {
@@ -482,77 +465,42 @@ mod tests {
             migrated_components: 1,
             migrated_txns: 2,
             migrated_work: 9,
-            steals: 1,
-            events: vec![
-                RebalanceEvent::Migration {
-                    at: SimTime::from_units_int(5),
-                    key: 3,
-                    from: 0,
-                    to: 2,
-                    txns: 2,
-                    work_ticks: 9,
-                },
-                RebalanceEvent::Steal {
-                    at: SimTime::from_units_int(6),
-                    txn: TxnId(4),
-                    from: 0,
-                    to: 1,
-                    // Threaded-protocol clocks: asked at 4, answered at 5,
-                    // effective at the boundary 6.
-                    requested_at: SimTime::from_units_int(4),
-                    granted_at: SimTime::from_units_int(5),
-                },
-            ],
-            ..Default::default()
-        });
-        let dump = Dump::parse(&rec.dump()).unwrap();
-        let restored: Vec<RebalanceEvent> = dump.rebalances().map(|(_, e)| *e).collect();
-        assert_eq!(restored.len(), 2);
-        assert_eq!(
-            restored[0],
-            RebalanceEvent::Migration {
+            events: vec![RebalanceEvent::Migration {
                 at: SimTime::from_units_int(5),
                 key: 3,
                 from: 0,
                 to: 2,
                 txns: 2,
                 work_ticks: 9,
-            }
-        );
+            }],
+            ..Default::default()
+        });
+        let dump = Dump::parse(&rec.dump()).unwrap();
+        let restored: Vec<RebalanceEvent> = dump.rebalances().map(|(_, e)| *e).collect();
         assert_eq!(
-            restored[1],
-            RebalanceEvent::Steal {
-                at: SimTime::from_units_int(6),
-                txn: TxnId(4),
+            restored,
+            [RebalanceEvent::Migration {
+                at: SimTime::from_units_int(5),
+                key: 3,
                 from: 0,
-                to: 1,
-                requested_at: SimTime::from_units_int(4),
-                granted_at: SimTime::from_units_int(5),
-            },
-            "protocol clocks survive the JSONL round trip"
+                to: 2,
+                txns: 2,
+                work_ticks: 9,
+            }]
         );
     }
 
     #[test]
-    fn legacy_steal_lines_parse_with_synchronous_clocks() {
-        // Dumps written before the threaded protocol have no
-        // requested_at/granted_at; both must default to the grab instant.
+    fn legacy_steal_lines_are_rejected() {
+        // Work stealing is gone; a flight dump written while it existed
+        // fails to parse with a clear error instead of panicking.
         let line =
             r#"{"kind":"rebalance","action":"steal","seq":0,"at":6000000,"txn":4,"from":0,"to":1}"#;
-        let dump = Dump::parse(line).unwrap();
-        let restored: Vec<RebalanceEvent> = dump.rebalances().map(|(_, e)| *e).collect();
-        match restored[0] {
-            RebalanceEvent::Steal {
-                at,
-                requested_at,
-                granted_at,
-                ..
-            } => {
-                assert_eq!(requested_at, at);
-                assert_eq!(granted_at, at);
-            }
-            other => panic!("expected a steal, got {other:?}"),
-        }
+        let err = Dump::parse(line).unwrap_err();
+        assert!(
+            err.contains("unknown rebalance action"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub enum RecordedEvent {
         /// The transaction that lost the server mid-work, if any.
         preempted: Option<TxnId>,
     },
-    /// A cross-shard rebalancing action from a coordinated sharded run —
-    /// ingested post-run via [`FlightRecorder::ingest_rebalance`].
+    /// A cross-shard migration from a rebalanced sharded run — ingested
+    /// post-run via [`FlightRecorder::ingest_rebalance`].
     Rebalance(RebalanceEvent),
     /// An admission-control shed from a live-path run — ingested via
     /// [`FlightRecorder::ingest_admission`].
@@ -62,9 +62,7 @@ impl RecordedEvent {
             RecordedEvent::Decision(r) => r.at,
             RecordedEvent::Migration(m) => m.at,
             RecordedEvent::Dispatch { at, .. } => *at,
-            RecordedEvent::Rebalance(
-                RebalanceEvent::Migration { at, .. } | RebalanceEvent::Steal { at, .. },
-            ) => *at,
+            RecordedEvent::Rebalance(RebalanceEvent::Migration { at, .. }) => *at,
             RecordedEvent::Admission(a) => a.at,
         }
     }
@@ -188,7 +186,7 @@ impl FlightRecorder {
                     *txn = g(*txn);
                     *preempted = preempted.map(g);
                 }
-                // Rebalance and admission events come from the coordinated
+                // Rebalance and admission events come from the sharded
                 // runtime / live front-end, which already speak global
                 // ids — nothing to rewrite.
                 RecordedEvent::Rebalance(_) | RecordedEvent::Admission(_) => {}
@@ -204,7 +202,7 @@ impl FlightRecorder {
         }
     }
 
-    /// Fold a coordinated run's rebalancing telemetry into the recorder:
+    /// Fold a rebalanced run's telemetry into the recorder:
     /// the run-wide totals become counters, the movement log becomes ring
     /// events (interleaved with whatever the run recorded live, in
     /// ingestion order — sequence numbers keep the provenance honest).
@@ -217,9 +215,6 @@ impl FlightRecorder {
             .add("rebalance_migrated_txns", stats.migrated_txns);
         self.metrics
             .add("rebalance_migrated_work_ticks", stats.migrated_work);
-        self.metrics.add("rebalance_steals", stats.steals);
-        self.metrics
-            .add("rebalance_steal_requests", stats.steal_requests);
         self.metrics.add("rebalance_barriers", stats.barriers);
         for e in &stats.events {
             self.push(RecordedEvent::Rebalance(*e));
@@ -402,24 +397,6 @@ fn event_line_inner(seq: u64, ev: &RecordedEvent) -> String {
                 .int("txns", txns as i128)
                 .int("work_ticks", work_ticks as i128)
                 .finish(),
-            RebalanceEvent::Steal {
-                at,
-                txn,
-                from,
-                to,
-                requested_at,
-                granted_at,
-            } => JsonObject::new()
-                .str("kind", "rebalance")
-                .str("action", "steal")
-                .int("seq", seq as i128)
-                .int("at", at.ticks() as i128)
-                .int("txn", txn.0 as i128)
-                .int("from", from as i128)
-                .int("to", to as i128)
-                .int("requested_at", requested_at.ticks() as i128)
-                .int("granted_at", granted_at.ticks() as i128)
-                .finish(),
         },
         RecordedEvent::Admission(a) => JsonObject::new()
             .str("kind", "admission")
@@ -596,43 +573,26 @@ mod tests {
             migrated_components: 1,
             migrated_txns: 3,
             migrated_work: 40,
-            steals: 1,
-            steal_requests: 1,
             barriers: 4,
-            events: vec![
-                RebalanceEvent::Migration {
-                    at: SimTime::from_units_int(10),
-                    key: 2,
-                    from: 1,
-                    to: 0,
-                    txns: 3,
-                    work_ticks: 40,
-                },
-                RebalanceEvent::Steal {
-                    at: SimTime::from_units_int(12),
-                    txn: TxnId(7),
-                    from: 1,
-                    to: 0,
-                    requested_at: SimTime::from_units_int(11),
-                    granted_at: SimTime::from_units_int(12),
-                },
-            ],
+            events: vec![RebalanceEvent::Migration {
+                at: SimTime::from_units_int(10),
+                key: 2,
+                from: 1,
+                to: 0,
+                txns: 3,
+                work_ticks: 40,
+            }],
         };
         rec.ingest_rebalance(&stats);
         assert_eq!(rec.metrics().counter("rebalance_migrated_txns"), 3);
-        assert_eq!(rec.metrics().counter("rebalance_steals"), 1);
-        assert_eq!(rec.metrics().counter("rebalance_steal_requests"), 1);
         assert_eq!(rec.metrics().counter("rebalance_barriers"), 4);
-        assert_eq!(rec.len(), 2);
+        assert_eq!(rec.len(), 1);
         let dump = rec.dump();
         let lines: Vec<&str> = dump.lines().collect();
         let m = crate::json::parse_flat(lines[0]).unwrap();
         assert_eq!(m.str("kind"), Some("rebalance"));
         assert_eq!(m.str("action"), Some("migration"));
         assert_eq!(m.int("work_ticks"), Some(40));
-        let s = crate::json::parse_flat(lines[1]).unwrap();
-        assert_eq!(s.str("action"), Some("steal"));
-        assert_eq!(s.int("txn"), Some(7));
     }
 
     #[test]

@@ -30,8 +30,8 @@ use asets_core::txn::{TxnId, TxnSpec};
 /// * [`Pump::take_due_into`] / [`Pump::exhausted`] — batched arrival
 ///   delivery;
 /// * the calendar-surgery ops ([`Pump::retain_arrivals`],
-///   [`Pump::extract_arrivals`], [`Pump::admit_arrivals`]) the coordinated
-///   sharded runtime uses for epoch migration.
+///   [`Pump::extract_arrivals`], [`Pump::admit_arrivals`]) the rebalancing
+///   driver uses for epoch migration.
 ///
 /// `REAL_TIME` distinguishes the wall-clock pump: the engine rebases
 /// arrival specs to the delivery instant (an online request's SLA clock
@@ -75,7 +75,7 @@ pub trait Pump {
     #[inline]
     fn note_completed(&mut self, _t: TxnId) {}
 
-    /// Restrict the calendar to arrivals passing `keep` (coordinated
+    /// Restrict the calendar to arrivals passing `keep` (rebalanced
     /// sharding: each shard's pump delivers only its owned transactions).
     fn retain_arrivals(&mut self, keep: &mut dyn FnMut(TxnId) -> bool);
 
@@ -113,30 +113,25 @@ impl EventPump {
             last_event: SimTime::ZERO,
         }
     }
+}
 
-    /// The current simulated instant.
+impl Pump for EventPump {
     #[inline]
-    pub fn now(&self) -> SimTime {
+    fn now(&self) -> SimTime {
         self.now
     }
 
-    /// The next scheduling point given the dispatch layer's earliest
-    /// completion and the policy wake-up request, or `None` when no event
-    /// is pending anywhere (which the engine treats as a stall if work
-    /// remains). Tie order per [`next_event`]: completion, arrival, wakeup.
-    /// Borrowing `&self` (the trait takes `&mut`) keeps the coordinated
-    /// sharded runtime's read-only point introspection possible.
-    pub fn peek_point(
-        &self,
+    /// Tie order per [`next_event`]: completion, arrival, wakeup. `None`
+    /// (nothing pending anywhere) is a stall if work remains.
+    fn next_point(
+        &mut self,
         completion: Option<SimTime>,
         wakeup: Option<SimTime>,
     ) -> Option<(SimTime, EventKind)> {
         next_event(completion, self.arrivals.peek_time(), wakeup)
     }
 
-    /// Advance the clock to `t` (the scheduling point being processed) and
-    /// return the gap since the previous point.
-    pub fn advance(&mut self, t: SimTime) -> SimDuration {
+    fn advance(&mut self, t: SimTime) -> SimDuration {
         debug_assert!(t >= self.now, "time went backwards");
         self.now = t;
         let gap = t - self.last_event;
@@ -144,70 +139,25 @@ impl EventPump {
         gap
     }
 
-    /// Deliver every arrival due at the current instant into a caller-owned
-    /// buffer (appends), in id order.
-    pub fn take_due_into(&mut self, due: &mut Vec<TxnId>) {
+    /// Appends in id order.
+    fn take_due_into(&mut self, due: &mut Vec<TxnId>) {
         self.arrivals.pop_due_into(self.now, due);
     }
 
-    /// True iff every arrival has been delivered.
-    pub fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.arrivals.exhausted()
     }
 
-    /// Restrict the calendar to arrivals passing `keep` (coordinated
-    /// sharding: each shard's pump delivers only its owned transactions).
-    pub fn retain_arrivals(&mut self, keep: impl FnMut(TxnId) -> bool) {
+    fn retain_arrivals(&mut self, keep: &mut dyn FnMut(TxnId) -> bool) {
         self.arrivals.retain(keep);
     }
 
-    /// Extract the pending arrivals of `ids` (sorted ascending) for
-    /// migration to another shard's pump; appends the entries to `out`.
-    pub fn extract_arrivals(&mut self, ids: &[TxnId], out: &mut Vec<(SimTime, TxnId)>) {
+    fn extract_arrivals(&mut self, ids: &[TxnId], out: &mut Vec<(SimTime, TxnId)>) {
         self.arrivals.extract_pending(ids, out);
     }
 
-    /// Admit arrival entries extracted from another shard's pump.
-    pub fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]) {
-        self.arrivals.admit(entries);
-    }
-}
-
-impl Pump for EventPump {
-    fn now(&self) -> SimTime {
-        EventPump::now(self)
-    }
-
-    fn next_point(
-        &mut self,
-        completion: Option<SimTime>,
-        wakeup: Option<SimTime>,
-    ) -> Option<(SimTime, EventKind)> {
-        EventPump::peek_point(self, completion, wakeup)
-    }
-
-    fn advance(&mut self, t: SimTime) -> SimDuration {
-        EventPump::advance(self, t)
-    }
-
-    fn take_due_into(&mut self, due: &mut Vec<TxnId>) {
-        EventPump::take_due_into(self, due);
-    }
-
-    fn exhausted(&self) -> bool {
-        EventPump::exhausted(self)
-    }
-
-    fn retain_arrivals(&mut self, keep: &mut dyn FnMut(TxnId) -> bool) {
-        EventPump::retain_arrivals(self, keep);
-    }
-
-    fn extract_arrivals(&mut self, ids: &[TxnId], out: &mut Vec<(SimTime, TxnId)>) {
-        EventPump::extract_arrivals(self, ids, out);
-    }
-
     fn admit_arrivals(&mut self, entries: &[(SimTime, TxnId)]) {
-        EventPump::admit_arrivals(self, entries);
+        self.arrivals.admit(entries);
     }
 }
 
@@ -242,28 +192,11 @@ mod tests {
 
     #[test]
     fn next_point_folds_all_three_sources() {
-        let pump = EventPump::new(&[ind(5, 10, 1)]);
+        let mut pump = EventPump::new(&[ind(5, 10, 1)]);
         // Completion beats the later arrival; arrival beats the later wakeup.
-        let (t, kind) = pump.peek_point(Some(at(3)), Some(at(9))).unwrap();
+        let (t, kind) = pump.next_point(Some(at(3)), Some(at(9))).unwrap();
         assert_eq!((t, kind), (at(3), EventKind::Completion));
-        let (t, kind) = pump.peek_point(None, Some(at(9))).unwrap();
+        let (t, kind) = pump.next_point(None, Some(at(9))).unwrap();
         assert_eq!((t, kind), (at(5), EventKind::Arrival));
-    }
-
-    #[test]
-    fn trait_and_inherent_paths_agree() {
-        let mut a = EventPump::new(&[ind(0, 10, 1), ind(3, 20, 1)]);
-        let mut b = EventPump::new(&[ind(0, 10, 1), ind(3, 20, 1)]);
-        let via_trait = Pump::next_point(&mut a, None, None);
-        let via_peek = b.peek_point(None, None);
-        assert_eq!(via_trait, via_peek);
-        Pump::advance(&mut a, at(0));
-        b.advance(at(0));
-        let mut da = Vec::new();
-        let mut db = Vec::new();
-        Pump::take_due_into(&mut a, &mut da);
-        b.take_due_into(&mut db);
-        assert_eq!(da, db);
-        assert_eq!(Pump::exhausted(&a), b.exhausted());
     }
 }

@@ -23,15 +23,15 @@
 //! [`RunStats`] counters add; traces and backlog series interleave by
 //! instant with ties broken by shard index.
 
-use crate::engine::{Engine, EventPump, Pump, SimResult, SpecPump};
+use crate::engine::{Engine, EventPump, SimResult, SpecPump};
 use crate::stats::BacklogSeries;
 use crate::stats::{EpochStats, RunStats};
 use crate::trace::{Trace, TraceEvent};
 use asets_core::dag::{DagError, DepDag};
 use asets_core::metrics::MetricsSummary;
 use asets_core::obs::{share, Observer};
-use asets_core::policy::{PolicyKind, Scheduler};
-use asets_core::shard::{partition, plan_rebalance, routing_keys, MovableComponent};
+use asets_core::policy::PolicyKind;
+use asets_core::shard::partition;
 use asets_core::table::TxnTable;
 use asets_core::time::{SimDuration, SimTime};
 use asets_core::txn::{TxnId, TxnOutcome, TxnSpec};
@@ -62,53 +62,27 @@ pub struct ShardedResult {
     /// *initial* partition; rebalanced runs may complete it elsewhere (see
     /// [`RebalanceStats::events`] for the movement log).
     pub shard_of: Vec<u32>,
-    /// Rebalancing telemetry; `Some` iff the run was coordinated (built
-    /// with [`ShardedRuntime::rebalance`]).
+    /// Rebalancing telemetry; `Some` iff the run was built with
+    /// [`ShardedRuntime::rebalance`].
     pub rebalance: Option<RebalanceStats>,
 }
 
-/// Configuration for the coordinated (dynamically balanced) sharded mode.
+/// Configuration for the rebalanced sharded mode.
 ///
-/// Both mechanisms preserve the routing invariant — a workflow never spans
-/// two shards mid-flight: migration moves whole dependency components whose
-/// members are all strictly in the future, and stealing only takes
-/// singleton components that are ready and have accrued no service.
+/// Migration preserves the routing invariant — a workflow never spans two
+/// shards mid-flight — because it moves only whole dependency components
+/// whose members are all strictly in the future.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebalanceConfig {
     /// Re-run the backlog-driven migration planner at every multiple of
-    /// this interval (`None`: never migrate).
-    pub epoch: Option<SimDuration>,
-    /// Enable deadline-aware work stealing at scheduling points.
-    pub steal: bool,
-    /// Maximum transactions stolen per grab (clamped by idle servers).
-    pub steal_k: usize,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            epoch: None,
-            steal: false,
-            steal_k: 4,
-        }
-    }
+    /// this interval; it is also the shard threads' barrier cadence.
+    pub epoch: SimDuration,
 }
 
 impl RebalanceConfig {
     /// Migrate whole components at every `epoch` boundary.
     pub fn migrate_every(epoch: SimDuration) -> RebalanceConfig {
-        RebalanceConfig {
-            epoch: Some(epoch),
-            ..RebalanceConfig::default()
-        }
-    }
-
-    /// Enable work stealing (up to `k` transactions per grab).
-    pub fn with_steal(mut self, k: usize) -> RebalanceConfig {
-        assert!(k >= 1, "steal_k must be at least 1");
-        self.steal = true;
-        self.steal_k = k;
-        self
+        RebalanceConfig { epoch }
     }
 }
 
@@ -131,29 +105,9 @@ pub enum RebalanceEvent {
         /// Work moved, in ticks.
         work_ticks: u64,
     },
-    /// An idle shard stole a ready, never-served singleton transaction.
-    Steal {
-        /// Simulated instant the handoff takes effect on the thief (the
-        /// grab instant in coordinated mode; the epoch boundary the grant
-        /// rides to in threaded mode).
-        at: SimTime,
-        /// The stolen transaction.
-        txn: TxnId,
-        /// Victim shard.
-        from: u32,
-        /// Thief shard.
-        to: u32,
-        /// The requesting (thief) shard's clock when it asked. Equal to
-        /// `at` in coordinated mode, where request and grant are one
-        /// synchronous sweep.
-        requested_at: SimTime,
-        /// The granting (victim) shard's clock when it answered. Equal to
-        /// `at` in coordinated mode.
-        granted_at: SimTime,
-    },
 }
 
-/// Telemetry of a coordinated run's rebalancing activity.
+/// Telemetry of a rebalanced run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RebalanceStats {
     /// Epoch boundaries at which the planner produced at least one move.
@@ -164,17 +118,10 @@ pub struct RebalanceStats {
     pub migrated_txns: u64,
     /// Work carried by those components, in ticks.
     pub migrated_work: u64,
-    /// Transactions stolen.
-    pub steals: u64,
-    /// Steal requests posted by idle shards. Coordinated sweeps grab
-    /// synchronously, so this stays zero there; the threaded runtime
-    /// counts every request message an idle thief put on a channel.
-    pub steal_requests: u64,
-    /// Epoch barriers crossed (threaded runtime only; the coordinated
-    /// loop has no barrier).
+    /// Epoch boundaries the leader planned at (zero at K = 1, where there
+    /// are no shard threads to line up).
     pub barriers: u64,
-    /// Every action, in order (migrations at epoch boundaries, steals at
-    /// scheduling points).
+    /// Every migration, in boundary order.
     pub events: Vec<RebalanceEvent>,
 }
 
@@ -211,7 +158,6 @@ pub struct ShardedRuntime<P: SpecPump = EventPump> {
     pub(crate) backlog: Option<SimDuration>,
     pub(crate) batched: bool,
     pub(crate) rebalance: Option<RebalanceConfig>,
-    pub(crate) threaded: bool,
     pub(crate) pump: std::marker::PhantomData<P>,
 }
 
@@ -228,7 +174,6 @@ impl ShardedRuntime {
             backlog: None,
             batched: true,
             rebalance: None,
-            threaded: false,
             pump: std::marker::PhantomData,
         }
     }
@@ -249,7 +194,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             backlog: self.backlog,
             batched: self.batched,
             rebalance: self.rebalance,
-            threaded: self.threaded,
             pump: std::marker::PhantomData,
         }
     }
@@ -283,13 +227,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
         self
     }
 
-    /// Opt out of the epoch-batched default: fire policy hooks interleaved
-    /// with table mutations (the ablation baseline).
-    pub fn per_event(mut self) -> Self {
-        self.batched = false;
-        self
-    }
-
     /// Record execution traces (merged across shards by instant).
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
@@ -302,44 +239,28 @@ impl<P: SpecPump> ShardedRuntime<P> {
         self
     }
 
-    /// Run in *coordinated* mode with dynamic load balancing: the K shard
-    /// engines share one global clock, driven single-threaded in event
-    /// order (simulated time is still the K-way parallel model — each
-    /// engine only ever advances its own M servers), which is what lets
-    /// transactions move between shards mid-run without racing.
+    /// Balance load dynamically by epoch migration: K shard threads each
+    /// step their own engine through an epoch window, and at every `epoch`
+    /// boundary a barrier lines them up while the planner
+    /// ([`asets_core::shard::plan_rebalance`]) moves whole dependency
+    /// components that have not arrived yet from backlogged shards to idle
+    /// ones. Cross-shard traffic rides bounded lock-free channels and lands
+    /// only at boundaries, so a run is bit-identical across executions for
+    /// a fixed batch and config (see [`crate::threaded`]).
     ///
-    /// Two layers, both optional via [`RebalanceConfig`]:
-    ///
-    /// * **epoch migration** — at every `epoch` boundary, whole dependency
-    ///   components that have not arrived yet move from backlogged shards
-    ///   to idle ones (planner: [`asets_core::shard::plan_rebalance`]);
-    /// * **work stealing** — after every scheduling point, a shard with
-    ///   idle servers and an empty ready list grabs up to `steal_k`
-    ///   ready, never-served singleton transactions from the
-    ///   most-backlogged victim, in the victim's latest-start order
-    ///   ([`Scheduler::steal_candidates`]).
-    ///
-    /// With `K = 1` the coordinator reduces to the plain engine loop and
-    /// the result is bit-identical to [`crate::runner::simulate`],
-    /// whatever the config says — there is no second shard to trade with.
+    /// With `K = 1` there is no second shard to trade with: the run is the
+    /// plain engine, bit-identical to [`crate::runner::simulate`], and
+    /// reports empty [`RebalanceStats`].
     pub fn rebalance(mut self, cfg: RebalanceConfig) -> Self {
         self.rebalance = Some(cfg);
         self
     }
 
-    /// Run the rebalanced modes on the *threaded* driver
-    /// ([`crate::threaded`]): K shard threads each stepping their own
-    /// engine in parallel, synchronized only at epoch boundaries by a
-    /// barrier, exchanging migration payloads and steal grants over
-    /// bounded lock-free SPSC channels. Deterministic for a fixed
-    /// seed/config (every cross-shard effect lands at a barrier-ordered
-    /// logical instant); the coordinated loop remains the semantic oracle.
-    ///
-    /// Requires [`ShardedRuntime::rebalance`] with `epoch: Some(..)` —
-    /// the epoch is the barrier cadence. With `K = 1` the run falls back
-    /// to the coordinated path (bit-identical to the plain engine).
-    pub fn threaded(mut self) -> Self {
-        self.threaded = true;
+    /// The identity. Rebalancing once had a second, single-clock driver
+    /// and this opted into the threaded one; [`ShardedRuntime::rebalance`]
+    /// now always runs threaded, and the method stays only because existing
+    /// callers (the `perfbench` harness among them) still chain it.
+    pub fn threaded(self) -> Self {
         self
     }
 
@@ -378,10 +299,9 @@ impl<P: SpecPump> ShardedRuntime<P> {
         // every dependency inside its shard).
         DepDag::build(&self.specs)?;
         if let Some(cfg) = self.rebalance {
-            if self.threaded && self.shards > 1 {
+            if self.shards > 1 {
                 return self.run_threaded(make, attach, cfg);
             }
-            return self.run_coordinated(make, attach, cfg);
         }
         let n = self.specs.len();
         let kind = self.kind;
@@ -411,7 +331,7 @@ impl<P: SpecPump> ShardedRuntime<P> {
                         result,
                     }],
                     shard_of: vec![0; n],
-                    rebalance: None,
+                    rebalance: self.rebalance.map(|_| RebalanceStats::default()),
                 },
                 vec![obs],
             ));
@@ -466,303 +386,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             },
             observers,
         ))
-    }
-
-    /// The coordinated single-clock path behind [`ShardedRuntime::rebalance`].
-    ///
-    /// Every shard engine holds the *full* global table and a policy built
-    /// from it (so moving a transaction never needs spec surgery — only its
-    /// pending arrival entry changes pumps), but each pump is restricted to
-    /// the shard's owned arrivals. The coordinator repeatedly steps the
-    /// engine with the globally earliest scheduling point (ties toward the
-    /// lower shard index), running the migration planner when the step
-    /// crosses an epoch boundary and a steal sweep after each point. With
-    /// one shard this degenerates to exactly `while step() {}`.
-    fn run_coordinated<O, F>(
-        self,
-        make: F,
-        attach: bool,
-        cfg: RebalanceConfig,
-    ) -> Result<(ShardedResult, Vec<O>), DagError>
-    where
-        O: Observer + Send + 'static,
-        F: Fn(usize, &TxnTable) -> O + Sync,
-    {
-        let n = self.specs.len();
-        let k = self.shards;
-        let keys = routing_keys(&self.specs);
-        let plan = partition(&self.specs, k);
-        let shard_of = plan.shard_of;
-        // Evolving ownership: starts at the static plan, updated by every
-        // migration and steal.
-        let mut owner: Vec<u32> = shard_of.clone();
-        // Component membership by routing key (members ascending).
-        let mut comp_members: std::collections::BTreeMap<u32, Vec<TxnId>> =
-            std::collections::BTreeMap::new();
-        for (i, &key) in keys.iter().enumerate() {
-            comp_members.entry(key).or_default().push(TxnId(i as u32));
-        }
-
-        let mut engines: Vec<Engine<Box<dyn Scheduler>, P>> = Vec::with_capacity(k);
-        let mut shared_obs = Vec::with_capacity(k);
-        let mut plain_obs = Vec::with_capacity(k);
-        // One validated master table; each shard engine gets a cheap clone
-        // (shared spec/DAG storage, fresh state).
-        let master = TxnTable::new(self.specs.clone()).expect("validated global batch");
-        for s in 0..k {
-            let obs = make(s, &master);
-            let policy = self.kind.build(&master);
-            let mut engine = Engine::from_table(master.clone(), policy, P::from_specs(&self.specs))
-                .with_servers(self.servers);
-            if self.batched {
-                engine = engine.with_batching();
-            }
-            if self.trace {
-                engine = engine.with_trace();
-            }
-            if let Some(interval) = self.backlog {
-                engine = engine.with_backlog_sampling(interval);
-            }
-            if attach {
-                let shared = Rc::new(RefCell::new(obs));
-                engine = engine.with_observer(share(&shared));
-                shared_obs.push(shared);
-            } else {
-                plain_obs.push(obs);
-            }
-            engine.restrict_arrivals(|t| owner[t.index()] == s as u32);
-            engines.push(engine);
-        }
-
-        let mut stats = RebalanceStats::default();
-        let mut next_epoch = cfg.epoch.map(|e| SimTime::ZERO + e);
-        let mut done: usize = engines.iter().map(|e| e.completed()).sum();
-        while done < n {
-            let Some((t, next)) = engines
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(s, e)| e.next_point_time().map(|t| (t, s)))
-                .min()
-            else {
-                panic!(
-                    "coordinated run stalled with {done}/{n} completed under `{}`",
-                    self.kind.label()
-                );
-            };
-            if let Some(boundary) = next_epoch {
-                if t >= boundary && k > 1 {
-                    migrate_components(
-                        boundary,
-                        t,
-                        &mut engines,
-                        &mut owner,
-                        &comp_members,
-                        &mut stats,
-                    );
-                    let e = cfg.epoch.expect("boundary implies epoch");
-                    let mut b = boundary;
-                    while b <= t {
-                        b += e;
-                    }
-                    next_epoch = Some(b);
-                }
-            }
-            engines[next].step_at(t);
-            done = engines.iter().map(|e| e.completed()).sum();
-            if cfg.steal && k > 1 && done < n {
-                steal_sweep(
-                    t,
-                    cfg.steal_k,
-                    &mut engines,
-                    &mut owner,
-                    &keys,
-                    &comp_members,
-                    &mut stats,
-                );
-                done = engines.iter().map(|e| e.completed()).sum();
-            }
-        }
-
-        let trace = self.trace;
-        let backlog = self.backlog.is_some();
-        let mut shards = Vec::with_capacity(k);
-        for (s, engine) in engines.into_iter().enumerate() {
-            // Results are already in global ids: no remap. A shard's share
-            // is whatever completed on its table.
-            let result = engine.finish();
-            let txns: Vec<TxnId> = result.outcomes.iter().map(|o| o.id).collect();
-            shards.push(ShardRun {
-                shard: s,
-                txns,
-                result,
-            });
-        }
-        let merged = merge(&shards, trace, backlog);
-        let observers = if attach {
-            shared_obs
-                .into_iter()
-                .map(|rc| {
-                    Rc::try_unwrap(rc)
-                        .unwrap_or_else(|_| panic!("engine retained the observer past run"))
-                        .into_inner()
-                })
-                .collect()
-        } else {
-            plain_obs
-        };
-        Ok((
-            ShardedResult {
-                merged,
-                shards,
-                shard_of,
-                rebalance: Some(stats),
-            },
-            observers,
-        ))
-    }
-}
-
-/// Epoch-boundary migration: compute per-shard backlog (remaining work of
-/// owned, uncompleted transactions), collect the components that are safe to
-/// move (every member still unarrived, strictly in the future of `t`), plan
-/// with [`plan_rebalance`], and execute each move as pump surgery — the
-/// member arrivals leave the source calendar and join the destination's.
-fn migrate_components<P: Pump>(
-    boundary: SimTime,
-    t: SimTime,
-    engines: &mut [Engine<Box<dyn Scheduler>, P>],
-    owner: &mut [u32],
-    comp_members: &std::collections::BTreeMap<u32, Vec<TxnId>>,
-    stats: &mut RebalanceStats,
-) {
-    let k = engines.len();
-    let mut loads = vec![0u64; k];
-    for (i, &s) in owner.iter().enumerate() {
-        let table = engines[s as usize].table();
-        let id = TxnId(i as u32);
-        if !table.state(id).is_completed() {
-            loads[s as usize] += table.remaining(id).ticks();
-        }
-    }
-    let mut movable = Vec::new();
-    for (&key, members) in comp_members {
-        let s = owner[key as usize];
-        let table = engines[s as usize].table();
-        let eligible = members.iter().all(|&m| {
-            table.state(m).phase == asets_core::txn::TxnPhase::Pending && table.spec(m).arrival > t
-        });
-        if eligible {
-            let work: u64 = members.iter().map(|&m| table.spec(m).length.ticks()).sum();
-            movable.push(MovableComponent {
-                key,
-                owner: s,
-                work,
-            });
-        }
-    }
-    let moves = plan_rebalance(&loads, &movable);
-    if moves.is_empty() {
-        return;
-    }
-    stats.migration_rounds += 1;
-    let mut entries = Vec::new();
-    for mv in moves {
-        let members = &comp_members[&mv.key];
-        entries.clear();
-        engines[mv.from as usize].extract_arrivals(members, &mut entries);
-        debug_assert_eq!(
-            entries.len(),
-            members.len(),
-            "unarrived members all pending"
-        );
-        engines[mv.to as usize].admit_arrivals(&entries);
-        for &m in members {
-            owner[m.index()] = mv.to;
-        }
-        stats.migrated_components += 1;
-        stats.migrated_txns += members.len() as u64;
-        stats.migrated_work += mv.work;
-        stats.events.push(RebalanceEvent::Migration {
-            at: boundary,
-            key: mv.key,
-            from: mv.from,
-            to: mv.to,
-            txns: members.len() as u32,
-            work_ticks: mv.work,
-        });
-    }
-}
-
-/// Post-point steal sweep: while some shard has an idle server and an empty
-/// ready list, let it grab ready never-served *singleton* transactions from
-/// the most-backlogged other shard (ties toward the lower index), in the
-/// victim policy's latest-start order, then step the thief at `now` so the
-/// loot is dispatched immediately — an idle shard generates no scheduling
-/// points of its own.
-fn steal_sweep<P: Pump>(
-    now: SimTime,
-    steal_k: usize,
-    engines: &mut [Engine<Box<dyn Scheduler>, P>],
-    owner: &mut [u32],
-    keys: &[u32],
-    comp_members: &std::collections::BTreeMap<u32, Vec<TxnId>>,
-    stats: &mut RebalanceStats,
-) {
-    let k = engines.len();
-    let mut candidates = Vec::new();
-    loop {
-        let Some(thief) =
-            (0..k).find(|&s| engines[s].idle_servers() > 0 && engines[s].waiting_ready() == 0)
-        else {
-            return;
-        };
-        let want = engines[thief].idle_servers().min(steal_k);
-        // Victims by waiting backlog, descending; ties toward lower index.
-        let mut victims: Vec<(usize, usize)> = (0..k)
-            .filter(|&s| s != thief)
-            .map(|s| (engines[s].waiting_ready(), s))
-            .filter(|&(w, _)| w > 0)
-            .collect();
-        victims.sort_by_key(|&(w, s)| (std::cmp::Reverse(w), s));
-        let mut stolen_any = false;
-        for (_, victim) in victims {
-            candidates.clear();
-            // Over-ask: some candidates fail the singleton filter.
-            engines[victim].steal_candidates_into(want * 4, &mut candidates);
-            let mut grabbed = 0usize;
-            for &c in candidates.iter() {
-                if grabbed >= want {
-                    break;
-                }
-                if comp_members[&keys[c.index()]].len() != 1 {
-                    continue;
-                }
-                debug_assert_eq!(owner[c.index()], victim as u32);
-                engines[victim].retract_stolen(c, now);
-                engines[thief].inject_stolen(c, now);
-                owner[c.index()] = thief as u32;
-                stats.steals += 1;
-                stats.events.push(RebalanceEvent::Steal {
-                    at: now,
-                    txn: c,
-                    from: victim as u32,
-                    to: thief as u32,
-                    // The sweep is synchronous: request, grant and
-                    // injection all happen at `now`.
-                    requested_at: now,
-                    granted_at: now,
-                });
-                grabbed += 1;
-            }
-            if grabbed > 0 {
-                engines[thief].step_at(now);
-                stolen_any = true;
-                break;
-            }
-        }
-        if !stolen_any {
-            return;
-        }
     }
 }
 
@@ -1072,106 +695,6 @@ mod tests {
         assert_eq!(observers[1].shard, 1);
         let total: u64 = observers.iter().map(|o| o.sched_points).sum();
         assert_eq!(total, r.merged.stats.scheduling_points);
-    }
-
-    #[test]
-    fn coordinated_k1_is_bit_identical_to_plain_engine() {
-        // Rebalancing on or off, K=1 must reduce to `while step() {}`.
-        let specs = vec![
-            ind(0, 9, 3),
-            dep(0, 15, 2, &[0]),
-            ind(1, 4, 2),
-            ind(2, 30, 5),
-        ];
-        let plain =
-            crate::runner::simulate_traced(specs.clone(), PolicyKind::asets_star()).unwrap();
-        let cfg = RebalanceConfig::migrate_every(units(5)).with_steal(2);
-        let r = ShardedRuntime::new(specs, PolicyKind::asets_star())
-            .rebalance(cfg)
-            .with_trace()
-            .run()
-            .unwrap();
-        assert_eq!(r.merged.outcomes, plain.outcomes);
-        assert_eq!(r.merged.stats, plain.stats);
-        assert_eq!(r.merged.trace, plain.trace);
-        let reb = r.rebalance.unwrap();
-        assert_eq!(reb.steals, 0, "no second shard to trade with");
-        assert_eq!(reb.migrated_components, 0);
-    }
-
-    #[test]
-    fn stealing_drains_a_skewed_backlog() {
-        // All ten singletons land on shard 0's component set? No — ten
-        // singletons spread evenly under LPT. Force skew with one big
-        // component on shard 1 that finishes instantly, leaving shard 1
-        // idle while shard 0 still holds a deep ready queue.
-        let mut specs: Vec<TxnSpec> = (0..8).map(|_| ind(0, 100, 10)).collect();
-        // A 9-member chain of zero-ish work (length 1 each): biggest
-        // component by count, so LPT puts it alone on one shard.
-        let first = specs.len() as u32;
-        specs.push(ind(0, 100, 1));
-        for i in 1..9u32 {
-            specs.push(dep(0, 100, 1, &[first + i - 1]));
-        }
-        let cfg = RebalanceConfig::default().with_steal(4);
-        let r = ShardedRuntime::new(specs.clone(), PolicyKind::Edf)
-            .shards(2)
-            .rebalance(cfg)
-            .run()
-            .unwrap();
-        let reb = r.rebalance.as_ref().unwrap();
-        assert!(reb.steals > 0, "idle shard must have stolen: {reb:?}");
-        assert_eq!(r.merged.stats.completed, specs.len() as u64);
-        // Merge exactness still holds under movement.
-        assert_eq!(
-            r.merged.summary,
-            MetricsSummary::from_outcomes(&r.merged.outcomes)
-        );
-        let ids: Vec<u32> = r.merged.outcomes.iter().map(|o| o.id.0).collect();
-        assert_eq!(ids, (0..specs.len() as u32).collect::<Vec<_>>());
-        // Stealing strictly shortens the drain versus the static split.
-        let static_r = ShardedRuntime::new(specs, PolicyKind::Edf)
-            .shards(2)
-            .run()
-            .unwrap();
-        assert!(
-            r.merged.stats.makespan < static_r.merged.stats.makespan,
-            "stolen {} vs static {}",
-            r.merged.stats.makespan,
-            static_r.merged.stats.makespan
-        );
-    }
-
-    #[test]
-    fn epoch_migration_moves_future_components() {
-        // Shard imbalance visible at t=5: shard with the heavy head also
-        // owns heavy future singletons; migration hands them to the other.
-        let mut specs = vec![ind(0, 200, 40), ind(0, 200, 1)];
-        specs.extend((0..6).map(|i| ind(20 + i, 300, 10)));
-        let cfg = RebalanceConfig::migrate_every(units(5));
-        let r = ShardedRuntime::new(specs.clone(), PolicyKind::Srpt)
-            .shards(2)
-            .rebalance(cfg)
-            .run()
-            .unwrap();
-        let reb = r.rebalance.as_ref().unwrap();
-        assert_eq!(r.merged.stats.completed, specs.len() as u64);
-        assert_eq!(
-            r.merged.summary,
-            MetricsSummary::from_outcomes(&r.merged.outcomes)
-        );
-        if reb.migrated_components > 0 {
-            // Counters stay consistent with the event log.
-            let (mut comps, mut txns) = (0u64, 0u64);
-            for e in &reb.events {
-                if let RebalanceEvent::Migration { txns: m, .. } = e {
-                    comps += 1;
-                    txns += *m as u64;
-                }
-            }
-            assert_eq!(comps, reb.migrated_components);
-            assert_eq!(txns, reb.migrated_txns);
-        }
     }
 
     #[test]

@@ -1,78 +1,50 @@
-//! The threaded rebalancing driver: K shard threads, barrier-synchronized
-//! epochs, lock-free cross-shard message channels.
+//! The rebalancing driver: K shard threads, barrier-synchronized epochs,
+//! lock-free cross-shard migration channels.
 //!
-//! [`crate::sharded`]'s coordinated loop buys dynamic balancing by driving
-//! all K engines from one clock on one thread: every event pays a global
-//! min-scan over the shard engines plus an O(K·n) steal sweep. This module
-//! removes that serialization tax. Each shard thread steps its own engine
-//! through an *epoch window* `[B, B')` without talking to anyone, and all
-//! cross-shard traffic — migration payloads, steal grants — takes effect
-//! only at window boundaries, where a [`std::sync::Barrier`] lines the
-//! threads up. Between boundaries the only sharing is bounded lock-free
-//! SPSC rings ([`Chan`], the [`crate::live::IngestRing`] idiom generalized
-//! to typed messages), and rings are *written during* a window but *read
-//! after* the next barrier, so every message is ordered by barrier
-//! happens-before, never by delivery timing.
+//! Each shard thread steps its own engine through an *epoch window*
+//! `[B, B')` without talking to anyone. All cross-shard traffic — the
+//! calendar entries of migrated components — takes effect only at window
+//! boundaries, where a [`RoundBarrier`] lines the threads up. Between
+//! boundaries the only sharing is bounded lock-free SPSC rings ([`Chan`],
+//! the [`crate::live::IngestRing`] idiom generalized to typed payloads),
+//! and rings are *written during* a round but *read after* its last
+//! barrier, so every entry is ordered by barrier happens-before, never by
+//! delivery timing.
 //!
 //! Per round, each thread:
 //!
-//! 1. **answers** steal requests buffered at the last drain (grants ride to
-//!    the *next* boundary; see below),
-//! 2. **runs** its engine up to (not including) the horizon,
-//! 3. **posts** one steal request if it ended the window idle,
-//! 4. **reports** load / backlog / movable components and waits (`#1`),
-//! 5. shard 0 — the deterministic **leader** — takes all reports, plans
+//! 1. **runs** its engine up to (not including) the horizon,
+//! 2. **reports** load / completions / movable components and waits (`#1`),
+//! 3. shard 0 — the deterministic **leader** — takes all reports, plans
 //!    migrations with [`plan_rebalance`] (greedy largest-work-first under
 //!    the `2·work ≤ gap` rule), picks the next boundary, and publishes the
 //!    plan (`#2`),
-//! 6. **executes** its slice of the plan — extracting calendar entries for
+//! 4. **executes** its slice of the plan — extracting calendar entries for
 //!    components it sends away and pushing them to the destination's ring —
 //!    and waits (`#3`),
-//! 7. **drains** its inboxes: migrated arrivals and steal grants join the
-//!    calendar, requests are buffered for the next answer phase, acks
-//!    release the thief to ask again. Rings are parity-paired —
-//!    `chans[round & 1]` — so a neighbour racing ahead into round E+1
-//!    pushes into the *other* ring set and can never land a message in a
-//!    ring still being drained for round E; three barriers per round, not
-//!    four.
-//!
-//! ## The asynchronous steal protocol
-//!
-//! Coordinated stealing is a synchronous sweep: the thief grabs from the
-//! victim's queue mid-instant. Threads cannot do that without locking both
-//! engines, so stealing becomes request/grant: an idle thief posts
-//! `Request{epoch, want, at}` stamped with its clock; the victim answers at
-//! its next answer phase — one epoch later, the first scheduling point at
-//! which the request is deterministically visible — retracting up to `want`
-//! ready never-served singletons ([`Scheduler::steal_candidates`] order)
-//! and granting them *effective at the boundary its current window ends
-//! on*; the thief admits each grant as a normal calendar arrival at that
-//! boundary. The thief's clock only ever meets arrivals at or after its
-//! last step, so time never runs backward, and because a grant's effect
-//! time is a function of the epoch it was issued in — never of when the
-//! message physically moved — the run is bit-identical across executions
-//! for a fixed seed and config. [`RebalanceEvent::Steal`] records all three
-//! clocks (`requested_at`, `granted_at`, effect `at`).
+//! 5. **drains** its inboxes: migrated arrivals join the calendar. Rings are
+//!    parity-paired — `chans[round & 1]` — so a neighbour racing ahead into
+//!    round E+1 pushes into the *other* ring set and can never land an
+//!    entry in a ring still being drained for round E; three barriers per
+//!    round, not four.
 //!
 //! ## Why decisions stay deterministic
 //!
-//! * Every round-E push precedes barrier `#1` or `#3` of round E, every
-//!   round-E drain runs after `#3`, and round-E±1 traffic rides the other
-//!   parity's rings. Reaching round E+2 — the same parity again — means
-//!   passing barrier `#1` of round E+1, which waits on every thread's
-//!   round-E drain; so each drain sees exactly the round-E message set,
-//!   every run.
-//! * The victim acts on requests only at the answer phase, from state at
-//!   the window start; grants land only at the boundary. No decision reads
-//!   a ring mid-window.
-//! * The leader is fixed (shard 0) and plans from the full report vector;
-//!   thief victim-selection uses the *previous* plan's backlog snapshot.
-//! * No wall clock anywhere: horizons, effect times and stamps are all
-//!   simulated instants derived from the epoch cadence.
+//! * Every round-E push precedes barrier `#3` of round E, every round-E
+//!   drain runs after `#3`, and round-E±1 traffic rides the other parity's
+//!   rings. Reaching round E+2 — the same parity again — means passing
+//!   barrier `#1` of round E+1, which waits on every thread's round-E
+//!   drain; so each drain sees exactly the round-E entry set, every run.
+//! * A migrated component is fully unarrived and every member's arrival
+//!   lies strictly beyond the boundary, so the destination's clock only
+//!   ever meets it in its future: time never runs backward.
+//! * The leader is fixed (shard 0) and plans from the full report vector.
+//! * No wall clock anywhere: horizons are simulated instants derived from
+//!   the epoch cadence.
 //!
-//! The coordinated loop remains the semantic oracle: same ownership
-//! invariants (whole components migrate only while fully unarrived; only
-//! ready never-served singletons are stolen), same planner, same merge.
+//! A shard thread that panics poisons the barrier on its way out, so its
+//! peers leave their waits instead of parking forever, and the run re-raises
+//! the original panic.
 
 use crate::engine::{Engine, SimResult, SpecPump};
 use crate::sharded::{
@@ -91,12 +63,20 @@ use std::collections::BTreeMap;
 use std::mem::MaybeUninit;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
-/// Slots per cross-shard ring. Bounds every round's traffic: the leader
-/// budgets migration payloads per channel (see [`Shared::mig_budget`]) and
-/// steal traffic is at most one request, `steal_k` grants and one ack.
-pub(crate) const MSG_RING_CAPACITY: usize = 1024;
+/// Slots per cross-shard ring, and so the migration entries the leader may
+/// route through one channel per round (moves beyond it are replanned at
+/// the next boundary). The value is pinned, not tuned: the budget binds on
+/// skewed batches, so changing it changes which components move when, and
+/// with them every migrate schedule (`tests/shard_determinism.rs` pins
+/// those exactly).
+pub(crate) const MSG_RING_CAPACITY: usize = 1018;
+
+/// One migrated component member's calendar entry: its original arrival
+/// instant (strictly beyond the boundary) and its id. Every engine holds the
+/// full global table, so moving a transaction is pure calendar surgery.
+type Arrival = (SimTime, TxnId);
 
 /// Bounded lock-free SPSC ring of `Copy` messages — [`crate::live::IngestRing`]
 /// generalized from `u32` job ids to typed payloads. Monotonic cursors,
@@ -169,71 +149,97 @@ impl<T: Copy> Chan<T> {
     }
 }
 
-/// A cross-shard message. Everything is `Copy`: calendar entries and steal
-/// control traffic, never spec payloads — every engine holds the full
-/// global table, so moving a transaction is pure calendar surgery.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Msg {
-    /// A migrated component member's calendar entry (original arrival).
-    Arrival {
-        /// The spec's arrival instant (strictly beyond the boundary).
-        at: SimTime,
-        /// The member transaction.
-        txn: TxnId,
-    },
-    /// A steal grant: `txn` was retracted from the victim and arrives on
-    /// the thief at `effect` — the boundary the victim's current window
-    /// ends on, which is ≥ every clock the thief can have inside it.
-    Grant {
-        /// Boundary instant the grant takes effect at on the thief.
-        effect: SimTime,
-        /// The stolen transaction.
-        txn: TxnId,
-    },
-    /// An idle thief asking for work.
-    Request {
-        /// The thief's epoch index when it posted (visibility stamp).
-        epoch: u64,
-        /// Transactions wanted (idle servers, clamped by `steal_k`).
-        want: u32,
-        /// The thief's clock when it posted (telemetry: `requested_at`).
-        at: SimTime,
-    },
-    /// Closes a request (sent even when zero transactions were granted);
-    /// the thief may post again after receiving it.
-    Ack {
-        /// Epoch stamp of the request being closed.
-        epoch: u64,
-    },
+/// A peer shard panicked; the round can never complete.
+struct Poisoned;
+
+/// A reusable barrier that can be poisoned. [`std::sync::Barrier`] has no
+/// poisoning, so a shard thread that panicked would leave its peers parked
+/// in `wait` forever — and `thread::scope` waits on them.
+struct RoundBarrier {
+    threads: usize,
+    state: Mutex<BarrierState>,
+    cvar: Condvar,
 }
 
-/// A buffered steal request, waiting for the receiving victim's next
-/// answer phase.
-struct PendingReq {
-    from: u32,
-    epoch: u64,
-    want: u32,
-    at: SimTime,
+struct BarrierState {
+    /// Threads waiting in the current generation.
+    arrived: usize,
+    /// Bumped each time the last thread arrives.
+    generation: u64,
+    /// Set by a panicking thread; every current and later wait fails.
+    poisoned: bool,
+}
+
+impl RoundBarrier {
+    fn new(threads: usize) -> RoundBarrier {
+        RoundBarrier {
+            threads,
+            state: Mutex::new(BarrierState {
+                arrived: 0,
+                generation: 0,
+                poisoned: false,
+            }),
+            cvar: Condvar::new(),
+        }
+    }
+
+    /// Block until every thread has arrived, or fail once a peer poisons
+    /// the barrier.
+    fn wait(&self) -> Result<(), Poisoned> {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if st.poisoned {
+            return Err(Poisoned);
+        }
+        let generation = st.generation;
+        st.arrived += 1;
+        if st.arrived == self.threads {
+            st.arrived = 0;
+            st.generation += 1;
+            self.cvar.notify_all();
+            return Ok(());
+        }
+        while st.generation == generation && !st.poisoned {
+            st = self.cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        if st.generation == generation {
+            Err(Poisoned)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn poison(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .poisoned = true;
+        self.cvar.notify_all();
+    }
+}
+
+/// Poisons the barrier if its shard thread unwinds.
+struct PoisonOnPanic<'a>(&'a RoundBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
 }
 
 /// One shard's boundary snapshot, published before barrier `#1`.
 struct Report {
     /// Remaining work of owned, uncompleted transactions (ticks).
     load: u64,
-    /// Ready transactions waiting for a server.
-    waiting: usize,
     /// Completions on this shard's table. Every transaction completes on
     /// exactly one table (its final owner), so the global done test is
-    /// `Σ completed == n` — grants in flight keep the sum short.
+    /// `Σ completed == n`.
     completed: usize,
     /// The engine's next scheduling point at or beyond the boundary.
     next_point: Option<SimTime>,
     /// Fully-unarrived owned components, eligible for migration.
     movable: Vec<MovableComponent>,
-    /// True iff this shard posted a steal request this window.
-    posted: bool,
-    /// Steal requests answered at this window's answer phase.
-    answered: u32,
 }
 
 /// The leader's verdict for one boundary, published before barrier `#2`.
@@ -244,12 +250,9 @@ struct Plan {
     /// No scheduling point anywhere, nothing in flight, work incomplete —
     /// provably unreachable; every thread panics rather than spinning.
     stalled: bool,
-    /// Horizon of the next window. `boundary + epoch` while anything is in
-    /// flight; otherwise skipped ahead to cover the earliest next point.
+    /// Horizon of the next window. `boundary + epoch` while a migration is
+    /// in flight; otherwise skipped ahead to cover the earliest next point.
     next_boundary: SimTime,
-    /// Per-shard waiting backlog — next window's thieves pick victims from
-    /// this snapshot (one round stale, deterministically so).
-    waiting: Vec<usize>,
     /// Migrations to execute at this boundary.
     moves: Vec<ComponentMove>,
 }
@@ -269,36 +272,30 @@ struct CompInfo {
 struct Shared<'a> {
     k: usize,
     n: usize,
-    cfg: RebalanceConfig,
     epoch: SimDuration,
-    /// Migration calendar entries the planner may route through one
-    /// channel per round, leaving headroom for steal traffic.
-    mig_budget: usize,
-    /// `chans[round & 1][a][b]`: messages from shard `a` to shard `b`,
+    /// `chans[round & 1][a][b]`: entries from shard `a` to shard `b`,
     /// double-buffered by round parity so a drain never shares a ring with
     /// a faster neighbour's next-round pushes.
-    chans: &'a [Vec<Vec<Chan<Msg>>>; 2],
-    barrier: &'a Barrier,
+    chans: &'a [Vec<Vec<Chan<Arrival>>>; 2],
+    barrier: &'a RoundBarrier,
     reports: &'a [Mutex<Option<Report>>],
     plan_slot: &'a Mutex<Option<Plan>>,
     /// Component membership by routing key, members ascending.
     comp_members: &'a BTreeMap<u32, Vec<TxnId>>,
     /// Per-component static facts, same keys as `comp_members`.
     comp_info: &'a BTreeMap<u32, CompInfo>,
-    /// Routing key of every transaction.
-    keys: &'a [u32],
     /// The initial (static) partition; arrival restriction baseline.
     shard_of: &'a [u32],
 }
 
 impl<P: SpecPump> ShardedRuntime<P> {
-    /// The threaded driver behind [`ShardedRuntime::threaded`]. Same
-    /// contract as `run_coordinated` — full global table per engine,
-    /// restricted arrivals, results merged in global ids — but the K
-    /// engines run on K threads and trade work over [`Chan`]s.
+    /// The driver behind [`ShardedRuntime::rebalance`] at K > 1: every
+    /// engine holds the full global table with arrivals restricted to its
+    /// owned transactions, the K engines run on K threads and trade
+    /// components over [`Chan`]s, and results merge in global ids.
     ///
     /// # Panics
-    /// If the rebalance config has no epoch (the barrier needs a cadence).
+    /// If the epoch is zero, or re-raises the panic of any shard thread.
     pub(crate) fn run_threaded<O, F>(
         self,
         make: F,
@@ -309,9 +306,7 @@ impl<P: SpecPump> ShardedRuntime<P> {
         O: Observer + Send + 'static,
         F: Fn(usize, &TxnTable) -> O + Sync,
     {
-        let epoch = cfg
-            .epoch
-            .expect("threaded rebalancing needs an epoch (the barrier cadence): build the config with RebalanceConfig::migrate_every");
+        let epoch = cfg.epoch;
         assert!(!epoch.is_zero(), "epoch must be positive");
         let n = self.specs.len();
         let k = self.shards;
@@ -338,27 +333,24 @@ impl<P: SpecPump> ShardedRuntime<P> {
             })
             .collect();
 
-        let chans: [Vec<Vec<Chan<Msg>>>; 2] = std::array::from_fn(|_| {
+        let chans: [Vec<Vec<Chan<Arrival>>>; 2] = std::array::from_fn(|_| {
             (0..k)
                 .map(|_| (0..k).map(|_| Chan::new(MSG_RING_CAPACITY)).collect())
                 .collect()
         });
-        let barrier = Barrier::new(k);
+        let barrier = RoundBarrier::new(k);
         let reports: Vec<Mutex<Option<Report>>> = (0..k).map(|_| Mutex::new(None)).collect();
         let plan_slot: Mutex<Option<Plan>> = Mutex::new(None);
         let shared = Shared {
             k,
             n,
-            cfg,
             epoch,
-            mig_budget: MSG_RING_CAPACITY.saturating_sub(cfg.steal_k + 2),
             chans: &chans,
             barrier: &barrier,
             reports: &reports,
             plan_slot: &plan_slot,
             comp_members: &comp_members,
             comp_info: &comp_info,
-            keys: &keys,
             shard_of: &shard_of,
         };
         let knobs = EngineKnobs {
@@ -376,10 +368,11 @@ impl<P: SpecPump> ShardedRuntime<P> {
         let make = &make;
         let shared_ref = &shared;
 
-        let runs: Vec<(SimResult, O, RebalanceStats)> = std::thread::scope(|scope| {
+        let joined: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..k)
                 .map(|s| {
                     scope.spawn(move || {
+                        let _guard = PoisonOnPanic(shared_ref.barrier);
                         run_worker::<P, O>(
                             s,
                             master_ref.clone(),
@@ -392,11 +385,17 @@ impl<P: SpecPump> ShardedRuntime<P> {
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
+            handles.into_iter().map(|h| h.join()).collect()
         });
+        let mut runs = Vec::with_capacity(k);
+        for outcome in joined {
+            match outcome {
+                Ok(Some(run)) => runs.push(run),
+                // A peer left a poisoned barrier: the panic is raised below.
+                Ok(None) => {}
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
 
         let mut stats = RebalanceStats::default();
         let mut shards = Vec::with_capacity(k);
@@ -406,8 +405,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             stats.migrated_components += local.migrated_components;
             stats.migrated_txns += local.migrated_txns;
             stats.migrated_work += local.migrated_work;
-            stats.steals += local.steals;
-            stats.steal_requests += local.steal_requests;
             stats.barriers += local.barriers;
             stats.events.extend(local.events);
             let txns: Vec<TxnId> = result.outcomes.iter().map(|o| o.id).collect();
@@ -418,18 +415,13 @@ impl<P: SpecPump> ShardedRuntime<P> {
             });
             observers.push(obs);
         }
-        // Shard-local logs are deterministic; a global order needs a rule.
-        // Stable sort by (instant, kind, shards): migrations (leader log)
-        // before steals at the same boundary, each shard's internal order
-        // preserved.
-        stats.events.sort_by_key(|e| match *e {
-            RebalanceEvent::Migration {
-                at, key, from, to, ..
-            } => (at, 0u8, from, to, key),
-            RebalanceEvent::Steal {
-                at, txn, from, to, ..
-            } => (at, 1u8, from, to, txn.0),
-        });
+        // The leader's log is in planner order within a boundary; publish it
+        // by (instant, source, destination, key) instead.
+        stats.events.sort_by_key(
+            |&RebalanceEvent::Migration {
+                 at, key, from, to, ..
+             }| (at, from, to, key),
+        );
 
         let merged = merge(&shards, self.trace, self.backlog.is_some());
         Ok((
@@ -448,7 +440,8 @@ impl<P: SpecPump> ShardedRuntime<P> {
 /// deliberately not `Sync`) over a cheap clone of the master table, then
 /// run the barrier rounds until the leader declares the batch done.
 /// Returns the finished result, the observer and this shard's slice of the
-/// rebalance telemetry.
+/// rebalance telemetry, or `None` when a peer panicked and poisoned the
+/// barrier.
 fn run_worker<P: SpecPump, O: Observer + 'static>(
     s: usize,
     table: TxnTable,
@@ -457,7 +450,7 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
     shared: &Shared<'_>,
     make: impl FnOnce(&TxnTable) -> O,
     attach: bool,
-) -> (SimResult, O, RebalanceStats) {
+) -> Option<(SimResult, O, RebalanceStats)> {
     let obs = make(&table);
     let policy = kind.build(&table);
     let pump = P::from_specs(table.specs());
@@ -484,11 +477,8 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
     engine.restrict_arrivals(|t| shared.shard_of[t.index()] == s as u32);
 
     // Evolving ownership, this shard's view: authoritative for everything
-    // it reports (loads scan only owned ids). Migration updates come from
-    // the plan (all shards see them); steal updates from the grant (victim
-    // clears at grant, thief sets at drain) — the one-round gap where a
-    // granted transaction is in neither load is harmless, because a stolen
-    // singleton has an in-past arrival and can never look movable.
+    // it reports (loads scan only owned ids). Every shard applies the
+    // plan's moves, so all views agree after each execute phase.
     let mut owned: Vec<bool> = shared.shard_of.iter().map(|&o| o == s as u32).collect();
     // Owned components still plausibly movable, ascending by key (the
     // report order the leader expects). Compacted permanently once the
@@ -508,97 +498,20 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
         .map(TxnId)
         .filter(|t| owned[t.index()])
         .collect();
-    let steal = shared.cfg.steal;
     let mut stats = RebalanceStats::default();
     let mut horizon = SimTime::ZERO + shared.epoch;
     let mut epoch_idx: u64 = 0;
-    // The epoch stamp of this shard's unanswered steal request, if any.
-    let mut pending_post: Option<u64> = None;
-    let mut last_waiting: Vec<usize> = vec![0; shared.k];
-    let mut req_buf: Vec<PendingReq> = Vec::new();
-    let mut candidates: Vec<TxnId> = Vec::new();
-    let mut entries: Vec<(SimTime, TxnId)> = Vec::new();
+    let mut entries: Vec<Arrival> = Vec::new();
 
     loop {
         // This round's ring set: everything pushed in round E is drained in
         // round E from `chans[E & 1]`; a neighbour already in round E+1
         // writes the other set.
         let par = (epoch_idx & 1) as usize;
-        // Answer phase: every request drained at the last barrier gets its
-        // reply at this shard's first scheduling opportunity of the new
-        // window, from pre-window state — deterministic by barrier order.
-        let mut answered = 0u32;
-        if steal && !req_buf.is_empty() {
-            let mut acts = std::mem::take(&mut req_buf);
-            acts.sort_by_key(|r| (r.epoch, r.from));
-            let now = engine.now();
-            for req in acts {
-                debug_assert!(
-                    req.epoch < epoch_idx,
-                    "requests act one epoch after posting"
-                );
-                candidates.clear();
-                // Over-ask: some candidates fail the singleton filter.
-                engine.steal_candidates_into(req.want as usize * 4, &mut candidates);
-                let mut granted = 0u32;
-                for &c in &candidates {
-                    if granted >= req.want {
-                        break;
-                    }
-                    if shared.comp_members[&shared.keys[c.index()]].len() != 1 {
-                        continue;
-                    }
-                    debug_assert!(owned[c.index()], "ready candidates are owned");
-                    engine.retract_stolen(c, now);
-                    owned[c.index()] = false;
-                    let sent = shared.chans[par][s][req.from as usize].push(Msg::Grant {
-                        effect: horizon,
-                        txn: c,
-                    });
-                    assert!(sent, "steal grant overflowed the ring");
-                    stats.steals += 1;
-                    stats.events.push(RebalanceEvent::Steal {
-                        at: horizon,
-                        txn: c,
-                        from: s as u32,
-                        to: req.from,
-                        requested_at: req.at,
-                        granted_at: now,
-                    });
-                    granted += 1;
-                }
-                let sent =
-                    shared.chans[par][s][req.from as usize].push(Msg::Ack { epoch: req.epoch });
-                assert!(sent, "steal ack overflowed the ring");
-                answered += 1;
-            }
-        }
 
         // Run the window: every scheduling point strictly below the
         // horizon, no cross-shard interaction.
         let next_point = engine.run_window(horizon);
-
-        // Post phase: idle at the window's end with no ready work — ask
-        // the shard that reported the deepest backlog at the last barrier.
-        let mut posted = false;
-        if steal
-            && pending_post.is_none()
-            && engine.idle_servers() > 0
-            && engine.waiting_ready() == 0
-        {
-            if let Some(victim) = pick_victim(&last_waiting, s) {
-                let want = engine.idle_servers().min(shared.cfg.steal_k) as u32;
-                let sent = shared.chans[par][s][victim].push(Msg::Request {
-                    epoch: epoch_idx,
-                    want,
-                    at: engine.now(),
-                });
-                assert!(sent, "steal request overflowed the ring");
-                pending_post = Some(epoch_idx);
-                stats.steal_requests += 1;
-                posted = true;
-            }
-        }
 
         // Report phase: boundary snapshot for the leader. Both scans
         // compact their working set as they go, so steady-state rounds cost
@@ -630,16 +543,13 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
             });
             Report {
                 load,
-                waiting: engine.waiting_ready(),
                 completed: engine.completed(),
                 next_point,
                 movable,
-                posted,
-                answered,
             }
         };
         *shared.reports[s].lock().unwrap() = Some(report);
-        shared.barrier.wait(); // #1: all reports published
+        shared.barrier.wait().ok()?; // #1: all reports published
 
         if s == 0 {
             let reps: Vec<Report> = shared
@@ -650,7 +560,7 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
             let plan = leader_plan(&reps, horizon, shared, &mut stats);
             *shared.plan_slot.lock().unwrap() = Some(plan);
         }
-        shared.barrier.wait(); // #2: plan published
+        shared.barrier.wait().ok()?; // #2: plan published
 
         let plan = shared
             .plan_slot
@@ -662,7 +572,6 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
             !plan.stalled,
             "threaded run stalled on shard {s}: no scheduling points, nothing in flight, work incomplete"
         );
-        last_waiting.clone_from(&plan.waiting);
         if plan.done {
             break;
         }
@@ -680,8 +589,8 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
                     members.len(),
                     "movable components are fully unarrived"
                 );
-                for &(at, txn) in &entries {
-                    let sent = shared.chans[par][s][mv.to as usize].push(Msg::Arrival { at, txn });
+                for &entry in &entries {
+                    let sent = shared.chans[par][s][mv.to as usize].push(entry);
                     assert!(
                         sent,
                         "migration payload overflowed the ring (planner budget)"
@@ -701,38 +610,18 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
                 owned_comps.insert(pos, mv.key);
             }
         }
-        shared.barrier.wait(); // #3: all boundary sends complete
+        shared.barrier.wait().ok()?; // #3: all boundary sends complete
 
         // Drain phase: this round's inboxes in sender order. Everything
-        // sent this round is visible (the senders passed barrier #1 or #3
-        // after pushing); anything newer targets the other parity's rings.
+        // sent this round is visible (the senders passed barrier #3 after
+        // pushing); anything newer targets the other parity's rings.
         entries.clear();
         for from in 0..shared.k {
             if from == s {
                 continue;
             }
-            while let Some(msg) = shared.chans[par][from][s].pop() {
-                match msg {
-                    Msg::Arrival { at, txn } => entries.push((at, txn)),
-                    Msg::Grant { effect, txn } => {
-                        owned[txn.index()] = true;
-                        // A stolen singleton's arrival is in the past, so it
-                        // joins the load but never the movable set.
-                        owned_alive.push(txn);
-                        entries.push((effect, txn));
-                    }
-                    Msg::Request { epoch, want, at } => req_buf.push(PendingReq {
-                        from: from as u32,
-                        epoch,
-                        want,
-                        at,
-                    }),
-                    Msg::Ack { epoch } => {
-                        if pending_post == Some(epoch) {
-                            pending_post = None;
-                        }
-                    }
-                }
+            while let Some(entry) = shared.chans[par][from][s].pop() {
+                entries.push(entry);
             }
         }
         if !entries.is_empty() {
@@ -753,15 +642,7 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
             .into_inner(),
         None => kept.expect("unattached observer kept locally"),
     };
-    (result, obs, stats)
-}
-
-/// Deepest waiting backlog among the other shards, ties toward the lower
-/// index; `None` when nobody has ready work to spare.
-fn pick_victim(waiting: &[usize], s: usize) -> Option<usize> {
-    (0..waiting.len())
-        .filter(|&v| v != s && waiting[v] > 0)
-        .max_by_key(|&v| (waiting[v], std::cmp::Reverse(v)))
+    Some((result, obs, stats))
 }
 
 /// The leader's boundary decision: done test, migration plan (flow-control
@@ -777,13 +658,11 @@ fn leader_plan(
     stats.barriers += 1;
     let completed: usize = reports.iter().map(|r| r.completed).sum();
     let done = completed == shared.n;
-    let waiting: Vec<usize> = reports.iter().map(|r| r.waiting).collect();
     if done {
         return Plan {
             done,
             stalled: false,
             next_boundary: boundary + shared.epoch,
-            waiting,
             moves: Vec::new(),
         };
     }
@@ -794,15 +673,15 @@ fn leader_plan(
         .flat_map(|r| r.movable.iter().copied())
         .collect();
     let planned = plan_rebalance(&loads, &movable);
-    // Flow control: a component's calendar entries must fit the channel
-    // alongside this round's steal traffic. Dropped moves are replanned at
-    // the next boundary from fresh loads.
+    // Flow control: a component's calendar entries must fit its channel
+    // this round. Dropped moves are replanned at the next boundary from
+    // fresh loads.
     let mut used: BTreeMap<(u32, u32), usize> = BTreeMap::new();
     let mut moves = Vec::with_capacity(planned.len());
     for mv in planned {
         let len = shared.comp_members[&mv.key].len();
         let slot = used.entry((mv.from, mv.to)).or_insert(0);
-        if *slot + len > shared.mig_budget {
+        if *slot + len > MSG_RING_CAPACITY {
             continue;
         }
         *slot += len;
@@ -826,13 +705,11 @@ fn leader_plan(
         });
     }
 
-    // Next horizon: anything in flight (migration payloads landing at this
-    // drain, steal requests posted or answered this window) pins the next
+    // Next horizon: migration payloads landing at this drain pin the next
     // boundary one epoch out; otherwise skip idle epochs so a quiet stretch
     // costs one barrier round, not span/epoch of them.
-    let traffic = !moves.is_empty() || reports.iter().any(|r| r.posted || r.answered > 0);
     let min_point = reports.iter().filter_map(|r| r.next_point).min();
-    let (next_boundary, stalled) = if traffic {
+    let (next_boundary, stalled) = if !moves.is_empty() {
         (boundary + shared.epoch, false)
     } else {
         match min_point {
@@ -850,7 +727,6 @@ fn leader_plan(
         done,
         stalled,
         next_boundary,
-        waiting,
         moves,
     }
 }
@@ -861,6 +737,7 @@ mod tests {
     use crate::sharded::ShardedRuntime;
     use crate::testutil::{dep, ind, units};
     use asets_core::metrics::MetricsSummary;
+    use asets_core::policy::PolicyKind;
 
     #[test]
     fn chan_wraps_and_preserves_fifo() {
@@ -927,11 +804,10 @@ mod tests {
     fn threaded_run_completes_and_merges_exactly() {
         let specs = skewed_specs();
         let n = specs.len();
-        let cfg = RebalanceConfig::migrate_every(units(5)).with_steal(4);
-        let r = ShardedRuntime::new(specs, asets_core::policy::PolicyKind::Edf)
+        let cfg = RebalanceConfig::migrate_every(units(5));
+        let r = ShardedRuntime::new(specs, PolicyKind::Edf)
             .shards(2)
             .rebalance(cfg)
-            .threaded()
             .run()
             .unwrap();
         assert_eq!(r.merged.stats.completed, n as u64);
@@ -946,41 +822,12 @@ mod tests {
     }
 
     #[test]
-    fn threaded_stealing_beats_the_static_split() {
-        let specs = skewed_specs();
-        let cfg = RebalanceConfig::migrate_every(units(5)).with_steal(4);
-        let r = ShardedRuntime::new(specs.clone(), asets_core::policy::PolicyKind::Edf)
-            .shards(2)
-            .rebalance(cfg)
-            .threaded()
-            .run()
-            .unwrap();
-        let reb = r.rebalance.as_ref().unwrap();
-        assert!(reb.steals > 0, "idle shard must have stolen: {reb:?}");
-        assert!(
-            reb.steal_requests > 0,
-            "threaded steals ride the request/grant protocol"
-        );
-        let static_r = ShardedRuntime::new(specs, asets_core::policy::PolicyKind::Edf)
-            .shards(2)
-            .run()
-            .unwrap();
-        assert!(
-            r.merged.stats.makespan < static_r.merged.stats.makespan,
-            "stolen {} vs static {}",
-            r.merged.stats.makespan,
-            static_r.merged.stats.makespan
-        );
-    }
-
-    #[test]
     fn threaded_is_bit_identical_across_runs() {
-        let cfg = RebalanceConfig::migrate_every(units(7)).with_steal(3);
+        let cfg = RebalanceConfig::migrate_every(units(7));
         let run = || {
-            ShardedRuntime::new(skewed_specs(), asets_core::policy::PolicyKind::asets_star())
+            ShardedRuntime::new(skewed_specs(), PolicyKind::asets_star())
                 .shards(4)
                 .rebalance(cfg)
-                .threaded()
                 .with_trace()
                 .run()
                 .unwrap()
@@ -997,56 +844,31 @@ mod tests {
     }
 
     #[test]
-    fn steal_events_carry_protocol_clocks() {
-        let specs = skewed_specs();
-        let cfg = RebalanceConfig::migrate_every(units(5)).with_steal(4);
-        let r = ShardedRuntime::new(specs, asets_core::policy::PolicyKind::Edf)
+    fn epoch_migration_moves_future_components() {
+        // Shard imbalance visible at t=5: the shard with the heavy head
+        // also owns heavy future singletons; migration hands them over.
+        let mut specs = vec![ind(0, 200, 40), ind(0, 200, 1)];
+        specs.extend((0..6).map(|i| ind(20 + i, 300, 10)));
+        let r = ShardedRuntime::new(specs.clone(), PolicyKind::Srpt)
             .shards(2)
-            .rebalance(cfg)
-            .threaded()
+            .rebalance(RebalanceConfig::migrate_every(units(5)))
             .run()
             .unwrap();
-        let reb = r.rebalance.unwrap();
-        let mut steals = 0;
-        for e in &reb.events {
-            if let RebalanceEvent::Steal {
-                at,
-                requested_at,
-                granted_at,
-                ..
-            } = e
-            {
-                steals += 1;
-                assert!(requested_at <= at, "request precedes the effect boundary");
-                assert!(granted_at <= at, "grant precedes the effect boundary");
-            }
+        let reb = r.rebalance.as_ref().unwrap();
+        assert_eq!(r.merged.stats.completed, specs.len() as u64);
+        assert_eq!(
+            r.merged.summary,
+            MetricsSummary::from_outcomes(&r.merged.outcomes)
+        );
+        assert!(reb.migrated_components > 0, "imbalance must move work");
+        // Counters stay consistent with the event log.
+        let (mut comps, mut txns) = (0u64, 0u64);
+        for RebalanceEvent::Migration { txns: m, .. } in &reb.events {
+            comps += 1;
+            txns += *m as u64;
         }
-        assert_eq!(steals as u64, reb.steals);
-    }
-
-    #[test]
-    fn k1_threaded_falls_back_to_the_coordinated_oracle() {
-        let specs = vec![
-            ind(0, 9, 3),
-            dep(0, 15, 2, &[0]),
-            ind(1, 4, 2),
-            ind(2, 30, 5),
-        ];
-        let plain = crate::runner::simulate_traced(
-            specs.clone(),
-            asets_core::policy::PolicyKind::asets_star(),
-        )
-        .unwrap();
-        let cfg = RebalanceConfig::migrate_every(units(5)).with_steal(2);
-        let r = ShardedRuntime::new(specs, asets_core::policy::PolicyKind::asets_star())
-            .rebalance(cfg)
-            .threaded()
-            .with_trace()
-            .run()
-            .unwrap();
-        assert_eq!(r.merged.outcomes, plain.outcomes);
-        assert_eq!(r.merged.stats, plain.stats);
-        assert_eq!(r.merged.trace, plain.trace);
+        assert_eq!(comps, reb.migrated_components);
+        assert_eq!(txns, reb.migrated_txns);
     }
 
     #[test]
@@ -1056,11 +878,10 @@ mod tests {
         let mut specs = vec![ind(0, 10, 2), ind(0, 10, 2)];
         specs.push(ind(1000, 1010, 2));
         specs.push(ind(1000, 1010, 2));
-        let cfg = RebalanceConfig::migrate_every(units(2)).with_steal(2);
-        let r = ShardedRuntime::new(specs, asets_core::policy::PolicyKind::Edf)
+        let cfg = RebalanceConfig::migrate_every(units(2));
+        let r = ShardedRuntime::new(specs, PolicyKind::Edf)
             .shards(2)
             .rebalance(cfg)
-            .threaded()
             .run()
             .unwrap();
         assert_eq!(r.merged.stats.completed, 4);
@@ -1069,6 +890,45 @@ mod tests {
             reb.barriers < 50,
             "idle epochs must be skipped, crossed {} barriers",
             reb.barriers
+        );
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_the_run_instead_of_hanging() {
+        use asets_core::obs::EpochSummary;
+        use asets_core::policy::LifecycleEvent;
+
+        /// Panics at shard 1's first batched epoch.
+        struct Tripwire(usize);
+        impl Observer for Tripwire {
+            fn on_epoch(&mut self, _events: &[LifecycleEvent], _summary: &EpochSummary) {
+                assert!(self.0 != 1, "tripwire on shard 1");
+            }
+        }
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                ShardedRuntime::new(skewed_specs(), PolicyKind::asets_star())
+                    .shards(2)
+                    .rebalance(RebalanceConfig::migrate_every(units(5)))
+                    .run_observed(|shard, _table| Tripwire(shard))
+            });
+            let _ = tx.send(run.err().map(|payload| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            }));
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a shard panic must end the run, not hang it")
+            .expect("the run must fail");
+        assert!(
+            message.contains("tripwire on shard 1"),
+            "the shard's own panic is re-raised, got {message:?}"
         );
     }
 }

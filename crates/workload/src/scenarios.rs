@@ -214,11 +214,11 @@ pub fn shard_loads(specs: &[TxnSpec], k: usize) -> Vec<usize> {
 /// The point of the shape: the sharded runtime's LPT placement balances
 /// *member counts*, so at high `alpha` one shard swallows the hottest page's
 /// huge-but-light star while the heavy singletons crowd the rest — exactly
-/// the skew that epoch migration and work stealing exist to fix. At
+/// the skew that epoch migration exists to fix. At
 /// `alpha = 0` the pmf is exactly `1/pages`, **no** page clears the hot
 /// threshold, and the batch degenerates to uniform independent singletons
 /// on which static placement is already near-optimal (the no-regression
-/// side of the `steal_gate` check).
+/// side of the `rebalance_gate` check).
 ///
 /// Deterministic for a given `(n, pages, alpha, seed)`.
 ///

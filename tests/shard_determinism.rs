@@ -11,7 +11,7 @@
 //! stats.
 
 use asets_core::prelude::*;
-use asets_sim::{simulate_traced, RebalanceConfig, RebalanceEvent, ShardedRuntime};
+use asets_sim::{simulate_traced, RebalanceConfig, RebalanceEvent, RebalanceStats, ShardedRuntime};
 use proptest::prelude::*;
 
 /// A random dependent, weighted workload (same shape as the policy-oracle
@@ -171,13 +171,12 @@ proptest! {
         }
     }
 
-    /// With one shard there is nobody to migrate to or steal from, so the
-    /// coordinated runtime with rebalancing fully enabled must *still* be
-    /// the seed engine bit for bit, under every policy — and must report
-    /// zero rebalancing actions.
+    /// With one shard there is nobody to migrate to, so the runtime with
+    /// rebalancing enabled must *still* be the seed engine bit for bit,
+    /// under every policy — and must report zero rebalancing actions.
     #[test]
     fn k1_with_rebalancing_is_bit_identical_to_engine(specs in workload_strategy(24)) {
-        let cfg = RebalanceConfig::migrate_every(SimDuration::from_units_int(7)).with_steal(2);
+        let cfg = RebalanceConfig::migrate_every(SimDuration::from_units_int(7));
         for kind in all_kinds() {
             let plain = simulate_traced(specs.clone(), kind).expect("acyclic");
             let sharded = ShardedRuntime::new(specs.clone(), kind)
@@ -190,16 +189,15 @@ proptest! {
             prop_assert_eq!(&sharded.merged.outcomes, &plain.outcomes, "{}", kind.label());
             prop_assert_eq!(&sharded.merged.stats, &plain.stats, "{}", kind.label());
             prop_assert_eq!(&sharded.merged.trace, &plain.trace, "{}", kind.label());
-            let stats = sharded.rebalance.as_ref().expect("coordinated run");
-            prop_assert_eq!(stats.steals, 0, "{}", kind.label());
-            prop_assert_eq!(stats.migrated_components, 0, "{}", kind.label());
+            let stats = sharded.rebalance.as_ref().expect("rebalanced run");
+            prop_assert_eq!(stats, &RebalanceStats::default(), "{}", kind.label());
         }
     }
 
-    /// Merge exactness survives rebalancing: with migration and stealing
-    /// active at K>1, every transaction still completes exactly once, the
-    /// merged summary still equals the whole-batch recompute, and the
-    /// telemetry counters are conserved against the event log.
+    /// Merge exactness survives rebalancing: with migration active at K>1
+    /// on the threaded driver, every transaction still completes exactly
+    /// once, the merged summary still equals the whole-batch recompute, and
+    /// the telemetry counters are conserved against the event log.
     #[test]
     fn rebalanced_runs_are_complete_and_exact(
         specs in workload_strategy(32),
@@ -207,7 +205,7 @@ proptest! {
         epoch in 3u64..20,
     ) {
         let n = specs.len();
-        let cfg = RebalanceConfig::migrate_every(SimDuration::from_units_int(epoch)).with_steal(3);
+        let cfg = RebalanceConfig::migrate_every(SimDuration::from_units_int(epoch));
         for kind in all_kinds() {
             let r = ShardedRuntime::new(specs.clone(), kind)
                 .shards(k)
@@ -234,31 +232,21 @@ proptest! {
             }
 
             // Telemetry counters are exactly the event log, re-aggregated.
-            let stats = r.rebalance.as_ref().expect("coordinated run");
+            let stats = r.rebalance.as_ref().expect("rebalanced run");
             let mut migrations = 0u64;
             let mut mig_txns = 0u64;
             let mut mig_work = 0u64;
-            let mut steals = 0u64;
             let mut rounds = std::collections::BTreeSet::new();
-            for e in &stats.events {
-                match *e {
-                    RebalanceEvent::Migration { at, from, to, txns, work_ticks, .. } => {
-                        migrations += 1;
-                        mig_txns += txns as u64;
-                        mig_work += work_ticks;
-                        rounds.insert(at);
-                        prop_assert!(from != to && (from as usize) < k && (to as usize) < k);
-                    }
-                    RebalanceEvent::Steal { from, to, .. } => {
-                        steals += 1;
-                        prop_assert!(from != to && (from as usize) < k && (to as usize) < k);
-                    }
-                }
+            for &RebalanceEvent::Migration { at, from, to, txns, work_ticks, .. } in &stats.events {
+                migrations += 1;
+                mig_txns += txns as u64;
+                mig_work += work_ticks;
+                rounds.insert(at);
+                prop_assert!(from != to && (from as usize) < k && (to as usize) < k);
             }
             prop_assert_eq!(stats.migrated_components, migrations, "{}", kind.label());
             prop_assert_eq!(stats.migrated_txns, mig_txns, "{}", kind.label());
             prop_assert_eq!(stats.migrated_work, mig_work, "{}", kind.label());
-            prop_assert_eq!(stats.steals, steals, "{}", kind.label());
             prop_assert_eq!(stats.migration_rounds, rounds.len() as u64, "{}", kind.label());
         }
     }
@@ -307,13 +295,12 @@ proptest! {
         k in 2usize..5,
         epoch in 3u64..16,
     ) {
-        let cfg = RebalanceConfig::migrate_every(SimDuration::from_units_int(epoch)).with_steal(3);
+        let cfg = RebalanceConfig::migrate_every(SimDuration::from_units_int(epoch));
         for kind in all_kinds() {
             let run = || {
                 ShardedRuntime::new(specs.clone(), kind)
                     .shards(k)
                     .rebalance(cfg)
-                    .threaded()
                     .with_trace()
                     .run()
                     .expect("acyclic")
@@ -334,7 +321,7 @@ proptest! {
     /// Conservation under threaded rebalancing: replaying the event log
     /// over the static partition yields exactly the shard each
     /// transaction completed on — no transaction is lost, duplicated, or
-    /// teleported outside a recorded migration or steal.
+    /// teleported outside a recorded migration.
     #[test]
     fn threaded_rebalancing_conserves_transactions(
         specs in workload_strategy(28),
@@ -343,11 +330,10 @@ proptest! {
     ) {
         let n = specs.len();
         let keys = asets_core::shard::routing_keys(&specs);
-        let cfg = RebalanceConfig::migrate_every(SimDuration::from_units_int(epoch)).with_steal(3);
+        let cfg = RebalanceConfig::migrate_every(SimDuration::from_units_int(epoch));
         let r = ShardedRuntime::new(specs, PolicyKind::asets_star())
             .shards(k)
             .rebalance(cfg)
-            .threaded()
             .run()
             .expect("acyclic");
 
@@ -366,29 +352,17 @@ proptest! {
 
         // Replay the globally ordered event log over the static partition:
         // a migration moves its whole component (all ids sharing the
-        // routing key) from the current owner; a steal moves one
-        // transaction from its current owner. The replayed final owner
+        // routing key) from the current owner. The replayed final owner
         // must be exactly where each transaction completed.
         let mut owner: Vec<u32> = r.shard_of.clone();
         let stats = r.rebalance.as_ref().expect("threaded run");
-        for e in &stats.events {
-            match *e {
-                RebalanceEvent::Migration { key, from, to, txns, .. } => {
-                    prop_assert!(from != to && (from as usize) < k && (to as usize) < k);
-                    let members: Vec<usize> = (0..n).filter(|&i| keys[i] == key).collect();
-                    prop_assert_eq!(members.len() as u32, txns, "whole components migrate");
-                    for &m in &members {
-                        prop_assert_eq!(owner[m], from, "migrations leave the current owner");
-                        owner[m] = to;
-                    }
-                }
-                RebalanceEvent::Steal { txn, from, to, .. } => {
-                    prop_assert!(from != to && (from as usize) < k && (to as usize) < k);
-                    prop_assert_eq!(owner[txn.index()], from, "steals leave the current owner");
-                    // Only singleton components are ever stolen.
-                    prop_assert_eq!(keys.iter().filter(|&&x| x == keys[txn.index()]).count(), 1);
-                    owner[txn.index()] = to;
-                }
+        for &RebalanceEvent::Migration { key, from, to, txns, .. } in &stats.events {
+            prop_assert!(from != to && (from as usize) < k && (to as usize) < k);
+            let members: Vec<usize> = (0..n).filter(|&i| keys[i] == key).collect();
+            prop_assert_eq!(members.len() as u32, txns, "whole components migrate");
+            for &m in &members {
+                prop_assert_eq!(owner[m], from, "migrations leave the current owner");
+                owner[m] = to;
             }
         }
         for i in 0..n {
@@ -399,5 +373,111 @@ proptest! {
                 i
             );
         }
+    }
+}
+
+/// FNV-1a over every `(id, finish tick)` pair of a merged run, in id order.
+fn schedule_digest(outcomes: &[TxnOutcome]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for o in outcomes {
+        for word in [u64::from(o.id.0), o.finish.ticks()] {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// The threaded migrate-only schedules of the rebalancing gate's batches
+/// (`skewed_shards`, n = 4000, 16 pages, seed 11, epoch 200), pinned
+/// exactly: a digest of every finish instant plus the makespan, average
+/// tardiness and migrated-transaction count the gate reports. These are the
+/// numbers the single-clock coordinated loop produced for the same configs
+/// before it was removed; any drift means the planner, the per-channel
+/// migration budget or the migration path changed.
+#[test]
+fn threaded_migrate_schedules_are_pinned() {
+    // (batch, Zipf alpha, K, digest, makespan units, avg tardiness, migrated)
+    const PINNED: [(&str, f64, usize, u64, u64, &str, u64); 6] = [
+        (
+            "skewed",
+            1.5,
+            2,
+            817261415884154033,
+            27973,
+            "5009.5458",
+            433,
+        ),
+        (
+            "skewed",
+            1.5,
+            4,
+            2030707717087735564,
+            13998,
+            "2367.4350",
+            517,
+        ),
+        (
+            "skewed",
+            1.5,
+            8,
+            17265022503960474541,
+            7027,
+            "1040.5928",
+            225,
+        ),
+        (
+            "uniform",
+            0.0,
+            2,
+            3719758894821393327,
+            70417,
+            "31755.4378",
+            2,
+        ),
+        (
+            "uniform",
+            0.0,
+            4,
+            6990496803026509340,
+            35215,
+            "15352.8860",
+            8,
+        ),
+        (
+            "uniform",
+            0.0,
+            8,
+            13407674076360654075,
+            17610,
+            "7158.1218",
+            18,
+        ),
+    ];
+    for (dist, alpha, k, digest, makespan, avg_tardiness, migrated) in PINNED {
+        let specs = asets_workload::skewed_shards(4_000, 16, alpha, 11);
+        let r = ShardedRuntime::new(specs, PolicyKind::asets_star())
+            .shards(k)
+            .rebalance(RebalanceConfig::migrate_every(SimDuration::from_units_int(
+                200,
+            )))
+            .threaded()
+            .run()
+            .expect("acyclic");
+        let got = (
+            schedule_digest(&r.merged.outcomes),
+            r.merged.stats.makespan,
+            format!("{:.4}", r.merged.summary.avg_tardiness),
+            r.rebalance.as_ref().expect("rebalanced run").migrated_txns,
+        );
+        let want = (
+            digest,
+            SimTime::from_units_int(makespan),
+            avg_tardiness.to_string(),
+            migrated,
+        );
+        assert_eq!(got, want, "{dist} K={k}");
     }
 }
