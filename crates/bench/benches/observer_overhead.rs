@@ -2,7 +2,7 @@
 //!
 //! Variants of the exact `deep_workflow_scale/indexed/100` workload
 //! (10k transactions in 100-member interleaved chains under indexed
-//! ASETS\*), per-event arm first, batch-native arm second:
+//! ASETS\*):
 //!
 //! 1. `disabled` — no observer attached. This is PR 1's hot path and MUST
 //!    stay there: `ObserverSlot` is a single `Option` branch per decision
@@ -18,19 +18,12 @@
 //! 4. `spans` — a full `SpanRecorder` (flight ring *plus* lifecycle span
 //!    events and phase profiling). The delta over `flight_recorder` is the
 //!    span-tracing cost; `obs_gate` prints it as its own artifact row.
-//! 5. `disabled_batched` — the epoch-batched engine, unobserved: the
-//!    production default's baseline.
-//! 6. `batched` — the same `FlightRecorder` riding the *batched* engine.
-//!    `obs_gate` requires this to beat `flight_recorder` (the per-event
-//!    observed run) by its pinned speedup floor: observation must not
-//!    forfeit batching.
-//! 7. `sampled_64` — a 1-in-64 `SamplingObserver` around the recorder, on
-//!    the batched engine. Declines timing, samples spans, keeps counters
-//!    and the SLO sketches exact. `obs_gate` pins this near
-//!    `disabled_batched` — the always-on production configuration.
-//! 8. `bus_live` — a `BusObserver` pushing into a lock-free ring with the
-//!    collector thread live, on the batched engine: the scrape-endpoint
-//!    deployment shape.
+//! 5. `sampled_64` — a 1-in-64 `SamplingObserver` around the recorder.
+//!    Declines timing, samples spans, keeps counters and the SLO sketches
+//!    exact. `obs_gate` pins this near `disabled` — the always-on
+//!    production configuration.
+//! 6. `bus_live` — a `BusObserver` pushing into a lock-free ring with the
+//!    collector thread live: the scrape-endpoint deployment shape.
 
 use asets_bench::chain_workload;
 use asets_core::obs::{share, NoopObserver, SharedObserver};
@@ -64,7 +57,6 @@ fn bench_observed<F>(
     g: &mut criterion::BenchmarkGroup<'_>,
     id: BenchmarkId,
     specs: &[TxnSpec],
-    batched: bool,
     make_obs: F,
 ) where
     F: Fn() -> Option<SharedObserver>,
@@ -76,9 +68,6 @@ fn bench_observed<F>(
                 let table = TxnTable::new(for_table).unwrap();
                 let policy = AsetsStar::with_defaults(&table);
                 let mut engine = Engine::new(for_sim, policy).unwrap();
-                if batched {
-                    engine = engine.with_batching();
-                }
                 if let Some(obs) = obs {
                     engine = engine.with_observer(obs);
                 }
@@ -94,59 +83,25 @@ fn observer_overhead(c: &mut Criterion) {
     g.sample_size(10);
     let specs = chain_workload(10_000, 100);
 
-    // Per-event arm.
-    bench_observed(
-        &mut g,
-        BenchmarkId::new("disabled", 100),
-        &specs,
-        false,
-        || None,
-    );
-    bench_observed(&mut g, BenchmarkId::new("noop", 100), &specs, false, || {
+    bench_observed(&mut g, BenchmarkId::new("disabled", 100), &specs, || None);
+    bench_observed(&mut g, BenchmarkId::new("noop", 100), &specs, || {
         Some(share(&Rc::new(RefCell::new(NoopObserver))))
     });
     bench_observed(
         &mut g,
         BenchmarkId::new("flight_recorder", 100),
         &specs,
-        false,
         || Some(share(&FlightRecorder::shared(RING))),
     );
-    bench_observed(
-        &mut g,
-        BenchmarkId::new("spans", 100),
-        &specs,
-        false,
-        || Some(share(&Rc::new(RefCell::new(SpanRecorder::new(RING))))),
-    );
-
-    // Batch-native arm.
-    bench_observed(
-        &mut g,
-        BenchmarkId::new("disabled_batched", 100),
-        &specs,
-        true,
-        || None,
-    );
-    bench_observed(
-        &mut g,
-        BenchmarkId::new("batched", 100),
-        &specs,
-        true,
-        || Some(share(&FlightRecorder::shared(RING))),
-    );
-    bench_observed(
-        &mut g,
-        BenchmarkId::new("sampled_64", 100),
-        &specs,
-        true,
-        || {
-            Some(share(&Rc::new(RefCell::new(SamplingObserver::new(
-                FlightRecorder::new(RING),
-                SAMPLE_PERIOD,
-            )))))
-        },
-    );
+    bench_observed(&mut g, BenchmarkId::new("spans", 100), &specs, || {
+        Some(share(&Rc::new(RefCell::new(SpanRecorder::new(RING)))))
+    });
+    bench_observed(&mut g, BenchmarkId::new("sampled_64", 100), &specs, || {
+        Some(share(&Rc::new(RefCell::new(SamplingObserver::new(
+            FlightRecorder::new(RING),
+            SAMPLE_PERIOD,
+        )))))
+    });
     // One live bus for the whole variant: the collector thread drains while
     // iterations run, which is exactly the deployment shape. The single
     // ring is reused serially (one engine at a time), preserving SPSC.
@@ -156,7 +111,6 @@ fn observer_overhead(c: &mut Criterion) {
         &mut g,
         BenchmarkId::new("bus_live", 100),
         &specs,
-        true,
         move || Some(bus_obs.clone()),
     );
     g.finish();

@@ -127,33 +127,19 @@ fn bench_runs<S, F>(
     S: asets_core::policy::Scheduler,
     F: Fn(&TxnTable) -> S + Copy,
 {
-    bench_runs_mode(g, id, specs, make, false)
-}
-
-/// [`bench_runs`] with the engine mode explicit: `batched` runs the same
-/// workload through [`Engine::with_batching`] (bit-identical results, one
-/// coalesced maintain pass per instant).
-fn bench_runs_mode<S, F>(
-    g: &mut criterion::BenchmarkGroup<'_>,
-    id: BenchmarkId,
-    specs: &[TxnSpec],
-    make: F,
-    batched: bool,
-) where
-    S: asets_core::policy::Scheduler,
-    F: Fn(&TxnTable) -> S + Copy,
-{
     g.bench_with_input(id, &specs, |b, specs| {
         b.iter_batched(
             || (specs.to_vec(), specs.to_vec()),
             |(for_table, for_sim)| {
                 let table = TxnTable::new(for_table).unwrap();
                 let policy = make(&table);
-                let mut engine = Engine::new(for_sim, policy).unwrap();
-                if batched {
-                    engine = engine.with_batching();
-                }
-                black_box(engine.run().summary.avg_tardiness)
+                black_box(
+                    Engine::new(for_sim, policy)
+                        .unwrap()
+                        .run()
+                        .summary
+                        .avg_tardiness,
+                )
             },
             BatchSize::LargeInput,
         )
@@ -188,16 +174,6 @@ fn deep_workflow_scale(c: &mut Criterion) {
             &specs,
             RescanAsetsStar::with_defaults,
         );
-        // The same indexed policy through the epoch-batched engine: the
-        // coalesced maintain/select rounds and bulk rebuilds should only
-        // ever move this below the `indexed` row.
-        bench_runs_mode(
-            &mut g,
-            BenchmarkId::new("batched", chain_len),
-            &specs,
-            AsetsStar::with_defaults,
-            true,
-        );
     }
     // Batch-size headroom: 100k transactions in 100-member workflows at the
     // indexed cost only (the rescan twin would dominate the bench's
@@ -208,13 +184,6 @@ fn deep_workflow_scale(c: &mut Criterion) {
         BenchmarkId::new("indexed_100k", 100),
         &specs,
         AsetsStar::with_defaults,
-    );
-    bench_runs_mode(
-        &mut g,
-        BenchmarkId::new("indexed_100k_batched", 100),
-        &specs,
-        AsetsStar::with_defaults,
-        true,
     );
     g.finish();
 }

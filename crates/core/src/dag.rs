@@ -5,7 +5,7 @@
 //! partial order of transaction execution, §II-A). This module builds the
 //! graph once from a slice of [`TxnSpec`]s, validates it, and answers the
 //! structural questions the scheduler and the workflow extractor need:
-//! successors, predecessors, roots, leaves, ancestor sets, and a
+//! successors, predecessors, roots, leaves, workflow memberships, and a
 //! deterministic topological order.
 
 use crate::txn::{TxnId, TxnSpec};
@@ -188,35 +188,38 @@ impl DepDag {
         &self.topo
     }
 
-    /// All transitive predecessors of `t` (the transitive closure of its
-    /// dependency list, paper's transitivity remark), *excluding* `t`.
-    ///
-    /// Returned sorted by id.
-    pub fn ancestors(&self, t: TxnId) -> Vec<TxnId> {
+    /// The membership of every workflow, one list per root in
+    /// [`DepDag::roots`] order: the root plus all of its transitive
+    /// predecessors, sorted by id (paper Definition of a workflow:
+    /// "includes all transactions that appear in `l_i`, and recursively
+    /// ..."). One `seen` buffer serves every root's DFS and only the
+    /// entries that DFS marked are reset, so the cost is the total
+    /// membership size, not `n` per root.
+    pub fn workflows(&self) -> Vec<Vec<TxnId>> {
         let mut seen = vec![false; self.len()];
-        let mut stack: Vec<TxnId> = self.preds(t).to_vec();
-        let mut out = Vec::new();
-        while let Some(p) = stack.pop() {
-            if seen[p.index()] {
-                continue;
-            }
-            seen[p.index()] = true;
-            out.push(p);
-            stack.extend_from_slice(self.preds(p));
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// The full membership of the workflow rooted at `root`: `root` plus all
-    /// of its transitive predecessors, sorted by id (paper Definition of a
-    /// workflow: "includes all transactions that appear in `l_i`, and
-    /// recursively ...").
-    pub fn workflow_members(&self, root: TxnId) -> Vec<TxnId> {
-        let mut m = self.ancestors(root);
-        let pos = m.binary_search(&root).unwrap_err();
-        m.insert(pos, root);
-        m
+        let mut stack = Vec::new();
+        self.roots
+            .iter()
+            .map(|&root| {
+                let mut members = vec![root];
+                seen[root.index()] = true;
+                stack.push(root);
+                while let Some(t) = stack.pop() {
+                    for &p in self.preds(t) {
+                        if !seen[p.index()] {
+                            seen[p.index()] = true;
+                            members.push(p);
+                            stack.push(p);
+                        }
+                    }
+                }
+                for &m in &members {
+                    seen[m.index()] = false;
+                }
+                members.sort_unstable();
+                members
+            })
+            .collect()
     }
 
     /// True iff `x` transitively precedes `y` (`x -> y`).
@@ -285,20 +288,68 @@ mod tests {
     fn workflow_members_are_transitive() {
         let dag = DepDag::build(&figure1_like()).unwrap();
         assert_eq!(
-            dag.workflow_members(TxnId(3)),
-            vec![TxnId(0), TxnId(1), TxnId(2), TxnId(3)]
-        );
-        assert_eq!(
-            dag.workflow_members(TxnId(6)),
-            vec![TxnId(0), TxnId(4), TxnId(5), TxnId(6)]
+            dag.workflows(),
+            vec![
+                vec![TxnId(0), TxnId(1), TxnId(2), TxnId(3)],
+                vec![TxnId(0), TxnId(4), TxnId(5), TxnId(6)],
+            ]
         );
     }
 
     #[test]
     fn shared_leaf_belongs_to_both_workflows() {
         let dag = DepDag::build(&figure1_like()).unwrap();
-        for root in [TxnId(3), TxnId(6)] {
-            assert!(dag.workflow_members(root).contains(&TxnId(0)));
+        for members in dag.workflows() {
+            assert!(members.contains(&TxnId(0)));
+        }
+    }
+
+    /// Overlapping workflows (shared ancestors, several roots, an isolated
+    /// root, diamonds) match the per-root definition — the root plus every
+    /// `x` with `x -> root` — so the shared `seen` buffer leaks nothing
+    /// from one root's DFS into the next. Checked on a fixed DAG and on a
+    /// generated 300-transaction batch with up to three deps each.
+    #[test]
+    fn overlapping_workflows_match_per_root_definition() {
+        let fixed = vec![
+            spec(vec![]),                   // T0 shared leaf
+            spec(vec![]),                   // T1 shared leaf
+            spec(vec![TxnId(0), TxnId(1)]), // T2 shared by every chain root
+            spec(vec![TxnId(2)]),           // T3
+            spec(vec![TxnId(1), TxnId(2)]), // T4 diamond over T1
+            spec(vec![TxnId(0)]),           // T5
+            spec(vec![TxnId(3), TxnId(4)]), // T6 root
+            spec(vec![TxnId(4), TxnId(5)]), // T7 root
+            spec(vec![]),                   // T8 isolated root
+        ];
+        let mut state = 0x2545_f491_u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let generated: Vec<TxnSpec> = (0..300u64)
+            .map(|i| {
+                let mut deps: Vec<TxnId> =
+                    (0..next(4).min(i)).map(|_| TxnId(next(i) as u32)).collect();
+                deps.sort_unstable();
+                deps.dedup();
+                spec(deps)
+            })
+            .collect();
+        for specs in [fixed, generated] {
+            let dag = DepDag::build(&specs).unwrap();
+            let workflows = dag.workflows();
+            assert_eq!(workflows.len(), dag.roots().len());
+            assert!(dag.roots().len() > 1);
+            for (&root, members) in dag.roots().iter().zip(&workflows) {
+                let expected: Vec<TxnId> = (0..dag.len() as u32)
+                    .map(TxnId)
+                    .filter(|&x| x == root || dag.precedes(x, root))
+                    .collect();
+                assert_eq!(members, &expected, "workflow of {root}");
+            }
         }
     }
 
@@ -333,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn diamond_dag_ancestors() {
+    fn diamond_dag_workflow() {
         // T3 depends on T1 and T2, both depend on T0 (the stock example of
         // §II-B has exactly this diamond with T4).
         let specs = vec![
@@ -343,8 +394,11 @@ mod tests {
             spec(vec![TxnId(1), TxnId(2)]),
         ];
         let dag = DepDag::build(&specs).unwrap();
-        assert_eq!(dag.ancestors(TxnId(3)), vec![TxnId(0), TxnId(1), TxnId(2)]);
         assert_eq!(dag.roots(), &[TxnId(3)]);
+        assert_eq!(
+            dag.workflows(),
+            vec![vec![TxnId(0), TxnId(1), TxnId(2), TxnId(3)]]
+        );
     }
 
     #[test]
@@ -402,7 +456,7 @@ mod tests {
         let dag = DepDag::build(&specs).unwrap();
         assert_eq!(dag.roots().len(), 3);
         assert_eq!(dag.leaves().len(), 3);
-        assert_eq!(dag.workflow_members(TxnId(1)), vec![TxnId(1)]);
+        assert_eq!(dag.workflows()[1], vec![TxnId(1)]);
     }
 
     #[test]

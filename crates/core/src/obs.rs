@@ -413,9 +413,9 @@ pub trait Observer {
 
     /// One whole epoch settled: `events` is the coalesced lifecycle slice
     /// in engine order (the exact events the per-event hooks narrate one at
-    /// a time), `summary` its aggregate shape. Fired by *both* engine arms
-    /// after the maintain pass, so batch-native observers can account
-    /// epochs without caring which arm ran.
+    /// a time), `summary` its aggregate shape. Fired once per scheduling
+    /// point after the maintain pass, so batch-native observers can account
+    /// whole epochs.
     fn on_epoch(&mut self, _events: &[LifecycleEvent], _summary: &EpochSummary) {}
 
     /// Whether this observer wants wall-clock latency in

@@ -362,7 +362,7 @@ impl AsetsStar {
             // Same crossing provenance as `refresh`. The batched pass
             // refreshes each touched workflow once, so only the epoch's
             // *net* crossing is reported — intermediate flapping within one
-            // instant (possible per-event when several members settle) is
+            // instant (possible hook by hook when several members settle) is
             // coalesced away, which is the batch-native observation
             // contract: event content identical, hook granularity coarser.
             let to_hdf = match (prev, self.side[w.index()]) {
@@ -713,7 +713,7 @@ impl Scheduler for AsetsStar {
 
     fn on_batch(&mut self, events: &[LifecycleEvent], table: &TxnTable, now: SimTime) {
         // One bulk index pass over the whole epoch, then one refresh per
-        // *touched workflow* — the per-event path refreshes once per
+        // *touched workflow* — the hook-by-hook replay refreshes once per
         // (event × workflows-of-member), re-deriving the same final keys
         // each time. Final state is identical: refresh reads only the index
         // and `now`, both of which are settled once the batch is applied.

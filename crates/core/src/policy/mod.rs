@@ -67,8 +67,8 @@ use std::cmp::Ordering;
 
 /// One table mutation at a scheduling point, in engine order — the unit of
 /// [`Scheduler::on_batch`]. Each variant names the per-event hook it stands
-/// for; a batch replays them in the exact order the per-event engine would
-/// have fired them.
+/// for; a batch lists them in engine order (servers by index, released
+/// dependents after their predecessor's completion, then arrivals by id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifecycleEvent {
     /// `t` completed ([`Scheduler::on_complete`]).
@@ -142,17 +142,19 @@ pub trait Scheduler {
     }
 
     /// Deliver every lifecycle event of one scheduling point at once. The
-    /// engine's batched mode mutates the table for the whole same-instant
-    /// epoch first, then hands the events over in the exact order the
-    /// per-event mode would have fired the hooks.
+    /// engine mutates the table for the whole same-instant epoch first,
+    /// then hands the events over in engine order; this is the only way
+    /// the engine calls the per-event hooks.
     ///
-    /// The default replays the per-event hooks in that order, which is
-    /// bit-identical for every policy in this crate: each hook reads only
+    /// The default replays the per-event hooks one at a time, in that
+    /// order. That replay is the reference semantics: each hook reads only
     /// the event transaction's *own* table fields (deadline and weight are
     /// static; remaining time changes only through that transaction's own
-    /// pause, which is itself one of the events), so hook-time and
-    /// batch-time reads agree. Policies with cross-transaction maintenance
-    /// override this to coalesce work across the batch.
+    /// pause, which is itself one of the events), so reading them after the
+    /// whole epoch settled agrees with reading them as each mutation
+    /// happens. Policies with cross-transaction maintenance override this
+    /// to coalesce work across the batch; `tests/batched_determinism.rs`
+    /// pins every override against the replay.
     fn on_batch(&mut self, events: &[LifecycleEvent], table: &TxnTable, now: SimTime) {
         for &ev in events {
             match ev {

@@ -109,14 +109,12 @@ impl WorkflowSet {
     pub fn build(table: &TxnTable) -> WorkflowSet {
         let dag = table.dag();
         let roots: Vec<TxnId> = dag.roots().to_vec();
-        let mut members = Vec::with_capacity(roots.len());
+        let members = dag.workflows();
         let mut of_txn: Vec<Vec<WfId>> = vec![Vec::new(); table.len()];
-        for (w, &root) in roots.iter().enumerate() {
-            let m = dag.workflow_members(root);
-            for &t in &m {
+        for (w, m) in members.iter().enumerate() {
+            for &t in m {
                 of_txn[t.index()].push(WfId(w as u32));
             }
-            members.push(m);
         }
         WorkflowSet {
             members,

@@ -8,7 +8,7 @@
 //! dispatch, service intervals, completion, decision provenance) only for
 //! transactions whose id falls on the sampling lattice — `id % period ==
 //! 0` — so the choice is deterministic, reproducible across runs and
-//! engine arms, and needs no RNG state. Aggregate accuracy is *not*
+//! shards, and needs no RNG state. Aggregate accuracy is *not*
 //! sampled: the wrapper keeps its own exact counters and a full
 //! [`SloMonitor`] fed by every completion, so miss ratios and tardiness
 //! percentiles remain exact while the traced population shrinks by N.

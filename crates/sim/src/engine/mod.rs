@@ -74,8 +74,8 @@ pub struct SimResult {
     pub trace: Option<Trace>,
     /// Backlog time series, when sampling was requested.
     pub backlog: Option<BacklogSeries>,
-    /// Epoch coalescing telemetry (identical scheduling points in both
-    /// engine modes; see [`EpochStats`]).
+    /// Epoch coalescing telemetry (one epoch per scheduling point; see
+    /// [`EpochStats`]).
     pub epochs: EpochStats,
 }
 
@@ -98,7 +98,6 @@ pub struct Engine<S, P = EventPump> {
     /// attach from [`asets_core::obs::Observer::wants_timing`]); `false`
     /// removes every `Instant` read from the scheduling-point path.
     obs_timing: bool,
-    batched: bool,
     epoch: EpochStats,
     // Reused per-point scratch (no allocations on the hot path).
     choices: Vec<TxnId>,
@@ -144,7 +143,6 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
             backlog: None,
             obs: None,
             obs_timing: true,
-            batched: false,
             epoch: EpochStats::default(),
             choices: Vec::new(),
             paused: Vec::new(),
@@ -166,19 +164,9 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         self
     }
 
-    /// Process scheduling points as *epochs*: mutate the table for the
-    /// whole same-instant batch first, then deliver every lifecycle event
-    /// to the policy in one [`Scheduler::on_batch`] call, letting it
-    /// coalesce index maintenance across the batch. Outcomes, stats and
-    /// traces are bit-identical to the per-event mode — the same events are
-    /// delivered in the same order, only hook timing is deferred — which
-    /// `tests/batched_determinism.rs` pins across every policy kind, with
-    /// and without an observer attached: the batched arm fires the same
-    /// lifecycle hooks (plus [`asets_core::obs::Observer::on_epoch`]) in
-    /// the same order, so attaching an observer no longer changes which
-    /// engine arm runs.
-    pub fn with_batching(mut self) -> Self {
-        self.batched = true;
+    /// No-op: every engine processes scheduling points as epochs (see
+    /// [`Scheduler::on_batch`]). Kept so existing call chains compile.
+    pub fn with_batching(self) -> Self {
         self
     }
 
@@ -273,24 +261,28 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         true
     }
 
-    /// Process the scheduling point at instant `t`.
+    /// Process the scheduling point at instant `t` as one *epoch*: settle
+    /// every server and deliver the instant's arrivals, mutating the table
+    /// for the whole batch first, then hand every lifecycle event to the
+    /// policy in one [`Scheduler::on_batch`] call and select once. The
+    /// trait's default `on_batch` replays the per-event hooks in engine
+    /// order; policies that override it coalesce index maintenance across
+    /// the batch (the equivalence argument lives on that method, and
+    /// `tests/batched_determinism.rs` pins it). Observer lifecycle hooks
+    /// (`served`/`completed`/`arrived`/…) fire inline, as the table
+    /// mutations they narrate happen.
     fn step_to(&mut self, t: SimTime) {
-        if self.batched {
-            self.step_to_batched(t);
-            return;
-        }
         let gap = self.pump.advance(t);
+
         // Self-profiling clock: one Instant per phase boundary, and only
         // when an attached observer wants timing — the disabled path (and
         // the sampled path) takes no reads.
         let phase_started = (self.obs.is_some() && self.obs_timing).then(Instant::now);
 
-        // 1. Settle every server, in index order. Completions fire their
-        // policy events immediately; survivors are paused (service credited)
-        // and remembered with their server for affinity resume. The epoch's
-        // lifecycle events are mirrored into the reused scratch so
-        // `on_epoch` can hand observers the coalesced slice in both arms.
-        let mut width = 0u32;
+        // 1. Settle every server, in index order; stash lifecycle events
+        // for the policy. Survivors are paused (service credited) and
+        // remembered with their server for affinity resume.
+        // `complete_into` reuses the released-dependents scratch.
         self.paused.clear();
         self.events.clear();
         for s in 0..self.pool.len() {
@@ -305,130 +297,7 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
                     }
                     if finishing {
                         // Lifecycle observers get the completion context
-                        // captured *before* `complete` consumes the state.
-                        let info = self.obs.is_some().then(|| {
-                            let spec = self.table.spec(r.txn);
-                            let ready_at = self.table.state(r.txn).ready_at.unwrap_or(spec.arrival);
-                            CompletionInfo {
-                                finish: t,
-                                deadline: spec.deadline,
-                                tardiness: t.saturating_since(spec.deadline),
-                                queue_wait: t
-                                    .saturating_since(ready_at)
-                                    .saturating_sub(spec.length),
-                                service: spec.length,
-                                met_deadline: t <= spec.deadline,
-                            }
-                        });
-                        let released = self.table.complete(r.txn, t, served);
-                        self.pump.note_completed(r.txn);
-                        self.stats.completed += 1;
-                        self.stats.makespan = t;
-                        self.record(TraceEvent::Completed {
-                            at: t,
-                            txn: r.txn,
-                            met_deadline: t <= self.table.deadline(r.txn),
-                        });
-                        if let (Some(obs), Some(info)) = (&self.obs, &info) {
-                            obs.borrow_mut().completed(t, r.txn, info);
-                        }
-                        self.policy.on_complete(r.txn, &self.table, t);
-                        self.events.push(LifecycleEvent::Complete(r.txn));
-                        width += 1;
-                        for d in released {
-                            if let Some(obs) = &self.obs {
-                                obs.borrow_mut().became_ready(t, d);
-                            }
-                            self.policy.on_ready(d, &self.table, t);
-                            self.events.push(LifecycleEvent::Ready(d));
-                            width += 1;
-                        }
-                    } else {
-                        self.table.pause(r.txn, served);
-                        self.policy.on_requeue(r.txn, &self.table, t);
-                        self.events.push(LifecycleEvent::Requeue(r.txn));
-                        width += 1;
-                        self.paused.push((s, r.txn));
-                    }
-                }
-                None => {
-                    self.stats.idle += gap;
-                }
-            }
-        }
-
-        // 2. Deliver arrivals due now (through the reused scratch buffer —
-        // no per-point allocation).
-        self.due.clear();
-        self.pump.take_due_into(&mut self.due);
-        for i in 0..self.due.len() {
-            let id = self.due[i];
-            if P::REAL_TIME {
-                // Online serving: the SLA clock starts at admission, not
-                // at the universe's pre-generated nominal arrival.
-                self.table.rebase_arrival(id, t);
-            }
-            let ready = self.table.arrive(id, t);
-            self.record(TraceEvent::Arrived {
-                at: t,
-                txn: id,
-                ready,
-            });
-            if let Some(obs) = &self.obs {
-                obs.borrow_mut().arrived(t, id, ready);
-            }
-            if ready {
-                self.policy.on_ready(id, &self.table, t);
-                self.events.push(LifecycleEvent::Ready(id));
-            } else {
-                self.policy.on_blocked_arrival(id, &self.table, t);
-                self.events.push(LifecycleEvent::BlockedArrival(id));
-            }
-            width += 1;
-        }
-
-        // Settle + arrivals is the policy's index-maintenance window.
-        let _ = self.emit_phase(t, EnginePhase::Maintain, phase_started);
-        self.epoch.note(width);
-        self.emit_epoch(t, width);
-
-        // 3. Sample backlog if due.
-        self.sample_backlog(t);
-
-        self.select_and_dispatch(t);
-    }
-
-    /// One epoch of the batched mode: identical table mutations, traces and
-    /// statistics as the per-event arm, but every policy hook of the
-    /// instant is deferred into one [`Scheduler::on_batch`] call *after*
-    /// the table has settled — the equivalence argument lives on that
-    /// method. Observer lifecycle hooks (`served`/`completed`/`arrived`/…)
-    /// fire in the same order as the per-event arm; only the *policy*
-    /// hooks are deferred, so provenance records differ at most in when
-    /// within the instant they were computed, never in content.
-    fn step_to_batched(&mut self, t: SimTime) {
-        let gap = self.pump.advance(t);
-        let phase_started = (self.obs.is_some() && self.obs_timing).then(Instant::now);
-
-        // 1. Settle every server; stash lifecycle events instead of firing
-        // policy hooks. `complete_into` reuses the released-dependents
-        // scratch. Observer lifecycle hooks still fire inline — they
-        // narrate table mutations, which happen here in both arms.
-        self.paused.clear();
-        self.events.clear();
-        for s in 0..self.pool.len() {
-            match self.pool.take(s) {
-                Some(r) => {
-                    let served = t - r.since;
-                    self.stats.busy += served;
-                    let finishing = served == self.table.remaining(r.txn);
-                    if let Some(obs) = &self.obs {
-                        obs.borrow_mut()
-                            .served(s as u32, r.txn, r.since, t, finishing);
-                    }
-                    if finishing {
-                        // Completion context captured *before* the state is
-                        // consumed, exactly like the per-event arm.
+                        // captured *before* `complete_into` consumes the state.
                         let info = self.obs.is_some().then(|| {
                             let spec = self.table.spec(r.txn);
                             let ready_at = self.table.state(r.txn).ready_at.unwrap_or(spec.arrival);
@@ -476,12 +345,15 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
             }
         }
 
-        // 2. Deliver arrivals due now.
+        // 2. Deliver arrivals due now (through the reused scratch buffer —
+        // no per-point allocation).
         self.due.clear();
         self.pump.take_due_into(&mut self.due);
         for i in 0..self.due.len() {
             let id = self.due[i];
             if P::REAL_TIME {
+                // Online serving: the SLA clock starts at admission, not
+                // at the universe's pre-generated nominal arrival.
                 self.table.rebase_arrival(id, t);
             }
             let ready = self.table.arrive(id, t);
@@ -500,22 +372,21 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
             });
         }
 
-        // 3. One maintain pass over the whole epoch, in the exact order the
-        // per-event arm would have fired the hooks.
+        // 3. One maintain pass over the whole epoch, events in engine order.
         self.policy.on_batch(&self.events, &self.table, t);
         let _ = self.emit_phase(t, EnginePhase::Maintain, phase_started);
         let width = self.events.len() as u32;
         self.epoch.note(width);
         self.emit_epoch(t, width);
 
+        // 4. Sample backlog if due, then select and dispatch.
         self.sample_backlog(t);
         self.select_and_dispatch(t);
     }
 
     /// Hand the attached observer the epoch it just heard piecemeal: the
-    /// coalesced lifecycle slice plus the run's cumulative epoch telemetry.
-    /// Fired by both engine arms right after `EpochStats::note`, so
-    /// batch-native observers see identical summaries in either mode.
+    /// coalesced lifecycle slice plus the run's cumulative epoch telemetry,
+    /// fired right after `EpochStats::note`.
     fn emit_epoch(&self, t: SimTime, width: u32) {
         if let Some(obs) = &self.obs {
             let summary = EpochSummary {
@@ -529,8 +400,8 @@ impl<S: Scheduler, P: Pump> Engine<S, P> {
         }
     }
 
-    /// Select and dispatch at instant `t` — phase 4 of a scheduling point,
-    /// shared verbatim by both engine arms. Decision latency is only
+    /// Select and dispatch at instant `t` — the last phase of a scheduling
+    /// point. Decision latency is only
     /// measured when an observer is attached, keeping the unobserved hot
     /// path free of clock reads.
     fn select_and_dispatch(&mut self, t: SimTime) {

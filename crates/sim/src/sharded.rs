@@ -156,7 +156,6 @@ pub struct ShardedRuntime<P: SpecPump = EventPump> {
     pub(crate) servers: usize,
     pub(crate) trace: bool,
     pub(crate) backlog: Option<SimDuration>,
-    pub(crate) batched: bool,
     pub(crate) rebalance: Option<RebalanceConfig>,
     pub(crate) pump: std::marker::PhantomData<P>,
 }
@@ -172,7 +171,6 @@ impl ShardedRuntime {
             servers: 1,
             trace: false,
             backlog: None,
-            batched: true,
             rebalance: None,
             pump: std::marker::PhantomData,
         }
@@ -192,7 +190,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             servers: self.servers,
             trace: self.trace,
             backlog: self.backlog,
-            batched: self.batched,
             rebalance: self.rebalance,
             pump: std::marker::PhantomData,
         }
@@ -215,15 +212,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
     pub fn servers(mut self, m: usize) -> Self {
         assert!(m >= 1, "need at least one server per shard");
         self.servers = m;
-        self
-    }
-
-    /// Choose the engine mode explicitly. Epoch-batched (the default; see
-    /// [`Engine::with_batching`]) and per-event produce bit-identical
-    /// results — batching only coalesces policy maintenance — with or
-    /// without observers attached.
-    pub fn batched(mut self, on: bool) -> Self {
-        self.batched = on;
         self
     }
 
@@ -311,15 +299,14 @@ impl<P: SpecPump> ShardedRuntime<P> {
             servers: self.servers,
             trace,
             backlog,
-            batched: self.batched,
         };
 
         if self.shards == 1 {
             // Inline fast path: the plan is the identity, so skip the
             // partition pass and the remap/merge machinery entirely. The
-            // batch moves into `run_shard` unchanged — the same single spec
-            // clone as `runner::simulate`, which keeps this path within
-            // noise of the plain engine (the shard_gate bench enforces it).
+            // batch moves into `run_shard` unchanged — one table build, as
+            // in `runner::simulate`, which keeps this path within noise of
+            // the plain engine (the shard_gate bench enforces it).
             let (result, obs) =
                 run_shard::<P, O>(self.specs, kind, knobs, |table| make(0, table), attach);
             return Ok((
@@ -399,12 +386,11 @@ pub(crate) struct EngineKnobs {
     pub(crate) servers: usize,
     pub(crate) trace: bool,
     pub(crate) backlog: Option<SimDuration>,
-    pub(crate) batched: bool,
 }
 
 /// Run one shard's specs to completion on the current thread. Mirrors
-/// `runner::simulate` construction exactly (table built from the slice,
-/// policy derived from that table) so the K=1 path is bit-identical. The
+/// `runner::simulate` construction exactly (one table, policy and pump
+/// derived from it) so the K=1 path is bit-identical. The
 /// observer is built *after* the table so it can inspect workflow
 /// structure up front.
 fn run_shard<P: SpecPump, O: Observer + 'static>(
@@ -414,16 +400,11 @@ fn run_shard<P: SpecPump, O: Observer + 'static>(
     make: impl FnOnce(&TxnTable) -> O,
     attach: bool,
 ) -> (SimResult, O) {
-    let table = TxnTable::new(specs.clone()).expect("validated on the global batch");
+    let table = TxnTable::new(specs).expect("validated on the global batch");
     let obs = make(&table);
     let policy = kind.build(&table);
-    let pump = P::from_specs(&specs);
-    let mut engine = Engine::with_pump(specs, policy, pump)
-        .expect("validated on the global batch")
-        .with_servers(knobs.servers);
-    if knobs.batched {
-        engine = engine.with_batching();
-    }
+    let pump = P::from_specs(table.specs());
+    let mut engine = Engine::from_table(table, policy, pump).with_servers(knobs.servers);
     if knobs.trace {
         engine = engine.with_trace();
     }

@@ -153,13 +153,13 @@ impl RunStats {
 }
 
 /// Epoch mechanics of a run — how much same-instant work each scheduling
-/// point coalesced. Kept *outside* [`RunStats`] deliberately: the batched
-/// and per-event engine arms must produce bit-identical `RunStats` (the
-/// determinism suites compare them), while epoch telemetry is allowed to
-/// describe the mode that actually ran.
+/// point coalesced. Kept *outside* [`RunStats`] deliberately: `RunStats`
+/// is the schedule's mechanics (merged across shards and pinned by the
+/// determinism suites), while epoch telemetry describes how the engine
+/// grouped the lifecycle events it delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct EpochStats {
-    /// Epochs processed — one per scheduling point in either engine mode.
+    /// Epochs processed — one per scheduling point.
     pub epochs: u64,
     /// Lifecycle events (completions, readies, requeues, blocked arrivals)
     /// delivered across all epochs.

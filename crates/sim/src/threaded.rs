@@ -357,7 +357,6 @@ impl<P: SpecPump> ShardedRuntime<P> {
             servers: self.servers,
             trace: self.trace,
             backlog: self.backlog,
-            batched: self.batched,
         };
         let kind = self.kind;
         // One validated master table; each worker thread gets a cheap clone
@@ -456,9 +455,6 @@ fn run_worker<P: SpecPump, O: Observer + 'static>(
     let pump = P::from_specs(table.specs());
     let mut engine: Engine<Box<dyn Scheduler>, P> =
         Engine::from_table(table, policy, pump).with_servers(knobs.servers);
-    if knobs.batched {
-        engine = engine.with_batching();
-    }
     if knobs.trace {
         engine = engine.with_trace();
     }
@@ -898,7 +894,7 @@ mod tests {
         use asets_core::obs::EpochSummary;
         use asets_core::policy::LifecycleEvent;
 
-        /// Panics at shard 1's first batched epoch.
+        /// Panics at shard 1's first epoch.
         struct Tripwire(usize);
         impl Observer for Tripwire {
             fn on_epoch(&mut self, _events: &[LifecycleEvent], _summary: &EpochSummary) {

@@ -1,24 +1,27 @@
-//! Bit-identity oracle for the epoch-batched engine mode.
+//! Bit-identity oracle for the engine's epoch path.
 //!
-//! `Engine::with_batching` defers every policy hook of a scheduling point
-//! into one `on_batch` call after the table has settled. That is an
-//! optimization of *when* maintenance runs, not of *what* is decided: for
-//! every policy kind, at every pool size and shard count, outcomes (exact
-//! finish ticks), run statistics, traces and epoch telemetry must equal
-//! the per-event engine bit for bit. These tests are the contract that
-//! lets the batched mode be the default in benchmarks without a separate
-//! truth baseline.
+//! The engine settles the table for a whole scheduling point, then hands
+//! every lifecycle event of that instant to the policy in one `on_batch`
+//! call. The trait's default `on_batch` replays the per-event hooks one at
+//! a time, in engine order; that replay is the reference. Policies that
+//! override `on_batch` to coalesce maintenance (ASETS\*) change *when* index
+//! work runs, never *what* is decided: for every policy kind, at M=1 and
+//! M=4, outcomes (exact finish ticks), run statistics, traces, epoch
+//! telemetry and the observer hook stream must equal the replay bit for
+//! bit.
 
-use asets_core::obs::{share, CompletionInfo, DecisionRecord, EpochSummary, MigrationEvent};
+use asets_core::obs::{
+    share, CompletionInfo, DecisionRecord, EpochSummary, MigrationEvent, SharedObserver,
+};
 use asets_core::prelude::*;
-use asets_sim::{Engine, ShardedRuntime, SimResult};
+use asets_sim::{Engine, SimResult};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// A recording tap: every hook's arguments, verbatim and in order, so two
 /// runs can be compared hook for hook. Declines timing so latencies are 0
-/// in both engine arms and the streams stay bit-comparable.
+/// in both runs and the streams stay bit-comparable.
 #[derive(Default, Debug, Clone, PartialEq)]
 struct Tap {
     points: Vec<SimTime>,
@@ -68,16 +71,18 @@ impl Observer for Tap {
 }
 
 impl Tap {
-    /// The hook stream with migrations dropped, for cross-arm comparison.
+    /// The hook stream with migrations dropped, for comparison against the
+    /// hook-by-hook replay.
     ///
-    /// Migration *granularity* is the one documented divergence between
-    /// the arms (`refresh_into` in `asets_star.rs`): the batched pass
+    /// Migration *granularity* is the one documented divergence of the
+    /// coalescing `on_batch` (`refresh_into` in `asets_star.rs`): it
     /// refreshes each touched workflow once per epoch and reports the
-    /// *net* EDF↔HDF crossing, while the per-event arm narrates every
+    /// *net* EDF↔HDF crossing, while the replay narrates every
     /// intermediate step — a workflow that leaves the lists and re-enters
-    /// on the other side within one instant crosses silently per-event but
-    /// visibly batched, and vice versa for flapping. Every other channel
-    /// (decisions, dispatches, lifecycle spans, epochs) is bit-identical.
+    /// on the other side within one instant crosses silently in the replay
+    /// but visibly coalesced, and vice versa for flapping. Every other
+    /// channel (decisions, dispatches, lifecycle spans, epochs) is
+    /// bit-identical.
     fn sans_migrations(&self) -> Tap {
         let mut t = self.clone();
         t.migrations.clear();
@@ -157,40 +162,81 @@ fn all_kinds() -> Vec<PolicyKind> {
     ]
 }
 
-/// Run `specs` under `kind` on an M-server pool with tracing, in either
-/// engine mode.
-fn run_engine(specs: &[TxnSpec], kind: PolicyKind, servers: usize, batched: bool) -> SimResult {
+/// The reference policy: forwards every [`Scheduler`] hook *except*
+/// `on_batch`, so each epoch falls through to the trait default, which
+/// replays the hooks one at a time in engine order.
+struct HookByHook(Box<dyn Scheduler>);
+
+impl Scheduler for HookByHook {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn on_ready(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.0.on_ready(t, table, now);
+    }
+    fn on_blocked_arrival(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.0.on_blocked_arrival(t, table, now);
+    }
+    fn on_requeue(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.0.on_requeue(t, table, now);
+    }
+    fn on_complete(&mut self, t: TxnId, table: &TxnTable, now: SimTime) {
+        self.0.on_complete(t, table, now);
+    }
+    fn select(&mut self, table: &TxnTable, now: SimTime) -> Option<TxnId> {
+        self.0.select(table, now)
+    }
+    fn select_many(&mut self, table: &TxnTable, now: SimTime, slots: usize, out: &mut Vec<TxnId>) {
+        self.0.select_many(table, now, slots, out);
+    }
+    fn next_wakeup(&self, now: SimTime) -> Option<SimTime> {
+        self.0.next_wakeup(now)
+    }
+    fn attach_observer(&mut self, obs: SharedObserver) {
+        self.0.attach_observer(obs);
+    }
+}
+
+/// An engine over `specs` under `kind` on an M-server pool with tracing,
+/// running the policy's own `on_batch` or, with `replay`, the hook-by-hook
+/// reference.
+fn engine(
+    specs: &[TxnSpec],
+    kind: PolicyKind,
+    servers: usize,
+    replay: bool,
+) -> Engine<Box<dyn Scheduler>> {
     let table = TxnTable::new(specs.to_vec()).expect("acyclic");
-    let policy = kind.build(&table);
-    let mut engine = Engine::new(specs.to_vec(), policy)
+    let mut policy = kind.build(&table);
+    if replay {
+        policy = Box::new(HookByHook(policy));
+    }
+    Engine::new(specs.to_vec(), policy)
         .expect("acyclic")
         .with_servers(servers)
-        .with_trace();
-    if batched {
-        engine = engine.with_batching();
-    }
-    engine.run()
+        .with_trace()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole contract: batched == per-event, bit for bit, for every
+    /// The epoch contract: the policies' `on_batch` overrides decide
+    /// exactly what the hook-by-hook replay decides, bit for bit, for every
     /// policy kind, at M=1 (the paper's model) and M=4.
     #[test]
     fn batched_engine_is_bit_identical(specs in workload_strategy(24)) {
         for kind in all_kinds() {
             for servers in [1usize, 4] {
-                let per_event = run_engine(&specs, kind, servers, false);
-                let batched = run_engine(&specs, kind, servers, true);
+                let reference = engine(&specs, kind, servers, true).run();
+                let batched = engine(&specs, kind, servers, false).run();
                 let tag = format!("{} M={}", kind.label(), servers);
-                prop_assert_eq!(&batched.outcomes, &per_event.outcomes, "{}", &tag);
-                prop_assert_eq!(&batched.stats, &per_event.stats, "{}", &tag);
-                prop_assert_eq!(&batched.trace, &per_event.trace, "{}", &tag);
-                prop_assert_eq!(&batched.summary, &per_event.summary, "{}", &tag);
-                // Epoch telemetry is mode-independent too: same scheduling
-                // points, same lifecycle events, same per-instant widths.
-                prop_assert_eq!(&batched.epochs, &per_event.epochs, "{}", &tag);
+                prop_assert_eq!(&batched.outcomes, &reference.outcomes, "{}", &tag);
+                prop_assert_eq!(&batched.stats, &reference.stats, "{}", &tag);
+                prop_assert_eq!(&batched.trace, &reference.trace, "{}", &tag);
+                prop_assert_eq!(&batched.summary, &reference.summary, "{}", &tag);
+                // Epoch telemetry is engine-side: same scheduling points,
+                // same lifecycle events, same per-instant widths.
+                prop_assert_eq!(&batched.epochs, &reference.epochs, "{}", &tag);
                 prop_assert_eq!(
                     batched.epochs.epochs, batched.stats.scheduling_points,
                     "one epoch per scheduling point ({})", &tag
@@ -198,55 +244,20 @@ proptest! {
             }
         }
     }
-
-    /// The sharded runtime's batched knob preserves bit-identity at K>1:
-    /// each shard engine coalesces its own instants.
-    #[test]
-    fn batched_sharded_is_bit_identical(
-        specs in workload_strategy(32),
-        k in 1usize..5,
-    ) {
-        for kind in [PolicyKind::asets_star(), PolicyKind::Edf] {
-            let base = ShardedRuntime::new(specs.clone(), kind)
-                .shards(k)
-                .with_trace()
-                .run()
-                .expect("acyclic");
-            let batched = ShardedRuntime::new(specs.clone(), kind)
-                .shards(k)
-                .batched(true)
-                .with_trace()
-                .run()
-                .expect("acyclic");
-            prop_assert_eq!(&batched.merged.outcomes, &base.merged.outcomes);
-            prop_assert_eq!(&batched.merged.stats, &base.merged.stats);
-            prop_assert_eq!(&batched.merged.trace, &base.merged.trace);
-            prop_assert_eq!(&batched.merged.epochs, &base.merged.epochs);
-            prop_assert_eq!(&batched.shard_of, &base.shard_of);
-        }
-    }
 }
 
-/// Run `specs` under `kind` observed by a fresh [`Tap`], in either engine
-/// mode, returning the result and the recorded hook stream.
+/// Run `specs` under `kind` observed by a fresh [`Tap`], returning the
+/// result and the recorded hook stream.
 fn run_tapped(
     specs: &[TxnSpec],
     kind: PolicyKind,
     servers: usize,
-    batched: bool,
+    replay: bool,
 ) -> (SimResult, Tap) {
-    let table = TxnTable::new(specs.to_vec()).expect("acyclic");
-    let policy = kind.build(&table);
     let tap = Rc::new(RefCell::new(Tap::default()));
-    let mut engine = Engine::new(specs.to_vec(), policy)
-        .expect("acyclic")
-        .with_servers(servers)
-        .with_trace()
-        .with_observer(share(&tap));
-    if batched {
-        engine = engine.with_batching();
-    }
-    let r = engine.run();
+    let r = engine(specs, kind, servers, replay)
+        .with_observer(share(&tap))
+        .run();
     let recorded = tap.borrow().clone();
     (r, recorded)
 }
@@ -254,90 +265,35 @@ fn run_tapped(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Observation is a pure tap, not a mode switch: with an observer
-    /// attached, the batched engine still matches the per-event engine bit
-    /// for bit — outcomes, stats, trace, *and* the full hook stream the
-    /// observer heard (decisions, migrations, dispatches, lifecycle spans,
-    /// epochs) — for every policy kind at M=1 and M=4. Before this
-    /// contract, attaching an observer silently fell back to the per-event
-    /// arm; that fallback is deleted, so this is what keeps production
-    /// telemetry from forfeiting the batched-mode speedup.
+    /// Observation is a pure tap: with an observer attached, the policies'
+    /// `on_batch` overrides still match the hook-by-hook replay bit for
+    /// bit — outcomes, stats, trace, *and* the hook stream the observer
+    /// heard (decisions, dispatches, lifecycle spans, epochs; migrations
+    /// excluded, see [`Tap::sans_migrations`]) — for every policy kind at
+    /// M=1 and M=4.
     #[test]
     fn observed_batched_is_bit_identical(specs in workload_strategy(24)) {
         for kind in all_kinds() {
             for servers in [1usize, 4] {
-                let (per_event, tap_pe) = run_tapped(&specs, kind, servers, false);
-                let (batched, tap_b) = run_tapped(&specs, kind, servers, true);
+                let (reference, tap_ref) = run_tapped(&specs, kind, servers, true);
+                let (batched, tap_b) = run_tapped(&specs, kind, servers, false);
                 let tag = format!("{} M={}", kind.label(), servers);
-                prop_assert_eq!(&batched.outcomes, &per_event.outcomes, "{}", &tag);
-                prop_assert_eq!(&batched.stats, &per_event.stats, "{}", &tag);
-                prop_assert_eq!(&batched.trace, &per_event.trace, "{}", &tag);
-                prop_assert_eq!(&batched.summary, &per_event.summary, "{}", &tag);
-                prop_assert_eq!(&batched.epochs, &per_event.epochs, "{}", &tag);
+                prop_assert_eq!(&batched.outcomes, &reference.outcomes, "{}", &tag);
+                prop_assert_eq!(&batched.stats, &reference.stats, "{}", &tag);
+                prop_assert_eq!(&batched.trace, &reference.trace, "{}", &tag);
+                prop_assert_eq!(&batched.summary, &reference.summary, "{}", &tag);
+                prop_assert_eq!(&batched.epochs, &reference.epochs, "{}", &tag);
                 prop_assert_eq!(
-                    tap_b.sans_migrations(), tap_pe.sans_migrations(),
+                    tap_b.sans_migrations(), tap_ref.sans_migrations(),
                     "hook stream ({})", &tag
                 );
                 // And observation never changed what happened: the observed
                 // run equals the unobserved one.
-                let unobserved = run_engine(&specs, kind, servers, true);
+                let unobserved = engine(&specs, kind, servers, false).run();
                 prop_assert_eq!(&batched.outcomes, &unobserved.outcomes, "{}", &tag);
                 prop_assert_eq!(&batched.stats, &unobserved.stats, "{}", &tag);
                 prop_assert_eq!(&batched.trace, &unobserved.trace, "{}", &tag);
             }
-        }
-    }
-}
-
-/// The same contract through the sharded runtime: K observed shard engines
-/// in batched mode hear exactly the per-event hook streams and merge to
-/// the same result, at K=1 (the inline fast path) and K=4.
-#[test]
-fn observed_batched_sharded_is_bit_identical() {
-    let specs: Vec<TxnSpec> = (0..48)
-        .map(|i| {
-            let arrival = SimTime::from_units_int(i % 11);
-            let length = SimDuration::from_units_int(1 + i % 5);
-            TxnSpec {
-                arrival,
-                deadline: arrival + length + SimDuration::from_units_int(i % 13),
-                length,
-                weight: Weight(1 + (i % 4) as u32),
-                deps: if i % 6 == 5 {
-                    vec![TxnId(i as u32 - 1)]
-                } else {
-                    vec![]
-                },
-            }
-        })
-        .collect();
-    for kind in [PolicyKind::asets_star(), PolicyKind::Edf] {
-        for k in [1usize, 4] {
-            let run = |batched: bool| {
-                ShardedRuntime::new(specs.clone(), kind)
-                    .shards(k)
-                    .batched(batched)
-                    .with_trace()
-                    .run_observed(|_shard, _table| Tap::default())
-                    .expect("acyclic")
-            };
-            let (base, taps_pe) = run(false);
-            let (flagged, taps_b) = run(true);
-            let tag = format!("{} K={k}", kind.label());
-            assert_eq!(flagged.merged.outcomes, base.merged.outcomes, "{tag}");
-            assert_eq!(flagged.merged.stats, base.merged.stats, "{tag}");
-            assert_eq!(flagged.merged.trace, base.merged.trace, "{tag}");
-            assert_eq!(flagged.merged.epochs, base.merged.epochs, "{tag}");
-            assert_eq!(flagged.shard_of, base.shard_of, "{tag}");
-            let (norm_b, norm_pe): (Vec<_>, Vec<_>) = (
-                taps_b.iter().map(Tap::sans_migrations).collect(),
-                taps_pe.iter().map(Tap::sans_migrations).collect(),
-            );
-            assert_eq!(norm_b, norm_pe, "per-shard hook streams ({tag})");
-            assert!(
-                taps_b.iter().map(|t| t.completions.len()).sum::<usize>() == specs.len(),
-                "every completion reaches exactly one shard tap ({tag})"
-            );
         }
     }
 }
@@ -358,10 +314,7 @@ fn epoch_stats_report_coalesced_widths() {
         .collect();
     let table = TxnTable::new(specs.clone()).expect("acyclic");
     let policy = PolicyKind::asets_star().build(&table);
-    let r = Engine::new(specs, policy)
-        .expect("acyclic")
-        .with_batching()
-        .run();
+    let r = Engine::new(specs, policy).expect("acyclic").run();
     assert_eq!(r.epochs.epochs, r.stats.scheduling_points);
     assert_eq!(
         r.epochs.max_epoch_width, 10,

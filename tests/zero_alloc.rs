@@ -73,7 +73,7 @@ fn batched_steady_state_steps_do_not_allocate() {
     let n = specs.len();
     let table = TxnTable::new(specs.clone()).expect("acyclic");
     let policy = PolicyKind::asets_star().build(&table);
-    let mut engine = Engine::new(specs, policy).expect("acyclic").with_batching();
+    let mut engine = Engine::new(specs, policy).expect("acyclic");
 
     // Warm-up: run most of the batch so every scratch buffer has seen its
     // widest epoch (the workload repeats one epoch shape, so the mark is
