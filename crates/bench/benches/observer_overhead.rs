@@ -13,16 +13,15 @@
 //!    plumbing. The delta over `disabled` is the cost of building decision
 //!    records plus two `Instant` reads per scheduling point — the floor any
 //!    real observer pays.
-//! 3. `flight_recorder` — a full `FlightRecorder` (ring writes, counters,
-//!    histograms). The delta over `noop` is the recording cost itself.
-//! 4. `spans` — a full `SpanRecorder` (flight ring *plus* lifecycle span
-//!    events and phase profiling). The delta over `flight_recorder` is the
-//!    span-tracing cost; `obs_gate` prints it as its own artifact row.
-//! 5. `sampled_64` — a 1-in-64 `SamplingObserver` around the recorder.
+//! 3. `flight_recorder` — a full `FlightRecorder`: every decision,
+//!    migration, dispatch and lifecycle record in one ring, counters,
+//!    histograms and the phase profile. The delta over `noop` is the
+//!    recording cost itself.
+//! 4. `sampled_64` — a 1-in-64 `SamplingObserver` around the recorder.
 //!    Declines timing, samples spans, keeps counters and the SLO sketches
 //!    exact. `obs_gate` pins this near `disabled` — the always-on
 //!    production configuration.
-//! 6. `bus_live` — a `BusObserver` pushing into a lock-free ring with the
+//! 5. `bus_live` — a `BusObserver` pushing into a lock-free ring with the
 //!    collector thread live: the scrape-endpoint deployment shape.
 
 use asets_bench::chain_workload;
@@ -30,7 +29,7 @@ use asets_core::obs::{share, NoopObserver, SharedObserver};
 use asets_core::policy::AsetsStar;
 use asets_core::table::TxnTable;
 use asets_core::txn::TxnSpec;
-use asets_obs::{FlightRecorder, SamplingObserver, SpanRecorder, TelemetryBus};
+use asets_obs::{FlightRecorder, SamplingObserver, TelemetryBus};
 use asets_sim::Engine;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::cell::RefCell;
@@ -93,9 +92,6 @@ fn observer_overhead(c: &mut Criterion) {
         &specs,
         || Some(share(&FlightRecorder::shared(RING))),
     );
-    bench_observed(&mut g, BenchmarkId::new("spans", 100), &specs, || {
-        Some(share(&Rc::new(RefCell::new(SpanRecorder::new(RING)))))
-    });
     bench_observed(&mut g, BenchmarkId::new("sampled_64", 100), &specs, || {
         Some(share(&Rc::new(RefCell::new(SamplingObserver::new(
             FlightRecorder::new(RING),

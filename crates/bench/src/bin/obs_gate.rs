@@ -16,7 +16,7 @@
 //! Both files must come from the same machine and the same bench mode
 //! (CI regenerates both in `BENCH_QUICK=1`); comparing a quick-mode run
 //! against a checked-in full-mode file measures the mode, not the code.
-//! The noop/flight-recorder/spans ratios are printed as their own artifact
+//! The noop/flight-recorder ratios are printed as their own artifact
 //! rows but not gated — attached-observer cost is a feature, not a
 //! regression.
 //!
@@ -66,7 +66,6 @@ fn run(obs_path: &str, sched_path: &str, threshold_pct: f64) -> Result<(), Strin
     for id in [
         "noop/100",
         "flight_recorder/100",
-        "spans/100",
         "sampled_64/100",
         "bus_live/100",
     ] {

@@ -443,11 +443,11 @@ mod tests {
             at(0),
         );
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(2), units(2));
+        tbl.complete_into(TxnId(0), at(2), units(2), &mut Vec::new());
         p.on_complete(TxnId(0), &tbl, at(2));
         assert_eq!(p.srpt_len(), 0);
         tbl.start_running(TxnId(1));
-        tbl.complete(TxnId(1), at(4), units(2));
+        tbl.complete_into(TxnId(1), at(4), units(2), &mut Vec::new());
         p.on_complete(TxnId(1), &tbl, at(4));
         assert_eq!(p.edf_len(), 0);
         assert_eq!(p.select(&tbl, at(4)), None);

@@ -495,9 +495,24 @@ impl AsetsStar {
         if !self.obs.is_attached() {
             return None;
         }
+        let rec = self.unopposed_record(table, now, w, head, edf);
+        self.obs.emit(|o| o.decision(&rec));
+        Some(rec)
+    }
+
+    /// The decision record of `head` (of workflow `w`) chosen with the
+    /// other list empty.
+    fn unopposed_record(
+        &self,
+        table: &TxnTable,
+        now: SimTime,
+        w: WfId,
+        head: TxnId,
+        edf: bool,
+    ) -> DecisionRecord {
         let rep = self.index.representative(w).expect("listed wf has a rep");
         let cand = self.wf_candidate(w, head, &rep, table, now);
-        let rec = DecisionRecord {
+        DecisionRecord {
             at: now,
             rule: self.decision_rule(),
             edf: if edf { Some(cand) } else { None },
@@ -512,9 +527,33 @@ impl AsetsStar {
             chosen: head,
             edf_len: self.edf.len() as u32,
             hdf_len: self.hdf.len() as u32,
-        };
-        self.obs.emit(|o| o.decision(&rec));
-        Some(rec)
+        }
+    }
+
+    /// The decision record of an EDF-side workflow `a` compared against an
+    /// HDF-side workflow `b` (heads and representatives given), with the
+    /// impacts [`impact_values`] computed for them.
+    fn comparison_record(
+        &self,
+        table: &TxnTable,
+        now: SimTime,
+        (a, head_a, rep_a): (WfId, TxnId, &Representative),
+        (b, head_b, rep_b): (WfId, TxnId, &Representative),
+        (impact_a, impact_b): (i128, i128),
+    ) -> DecisionRecord {
+        let edf_first = impact_a < impact_b;
+        DecisionRecord {
+            at: now,
+            rule: self.decision_rule(),
+            edf: Some(self.wf_candidate(a, head_a, rep_a, table, now)),
+            hdf: Some(self.wf_candidate(b, head_b, rep_b, table, now)),
+            impact_edf: impact_a,
+            impact_hdf: impact_b,
+            winner: if edf_first { Winner::Edf } else { Winner::Hdf },
+            chosen: if edf_first { head_a } else { head_b },
+            edf_len: self.edf.len() as u32,
+            hdf_len: self.hdf.len() as u32,
+        }
     }
 
     /// The Fig. 7 decision between the two list tops, plus how long the
@@ -550,18 +589,13 @@ impl AsetsStar {
                 let chosen = if edf_first { head_a } else { head_b };
                 let mut rec = None;
                 if self.obs.is_attached() {
-                    let r = DecisionRecord {
-                        at: now,
-                        rule: self.decision_rule(),
-                        edf: Some(self.wf_candidate(a, head_a, &rep_a, table, now)),
-                        hdf: Some(self.wf_candidate(b, head_b, &rep_b, table, now)),
-                        impact_edf: impact_a,
-                        impact_hdf: impact_b,
-                        winner: if edf_first { Winner::Edf } else { Winner::Hdf },
-                        chosen,
-                        edf_len: self.edf.len() as u32,
-                        hdf_len: self.hdf.len() as u32,
-                    };
+                    let r = self.comparison_record(
+                        table,
+                        now,
+                        (a, head_a, &rep_a),
+                        (b, head_b, &rep_b),
+                        (impact_a, impact_b),
+                    );
                     self.obs.emit(|o| o.decision(&r));
                     rec = Some(r);
                 }
@@ -767,20 +801,32 @@ impl Scheduler for AsetsStar {
         // already taken (the first pick, or a sub-transaction shared between
         // workflows) are skipped so the engine's distinctness invariant
         // holds. The trees are never mutated, so the decision cache written
-        // by `select` above stays valid.
+        // by `select` above stays valid. With an observer attached, every
+        // extra pick emits its own decision record, so each dispatch of the
+        // scheduling point has provenance.
         let mut edf_tops = std::mem::take(&mut self.mf_edf);
         let mut hdf_tops = std::mem::take(&mut self.mf_hdf);
         edf_tops.clear();
         hdf_tops.clear();
         self.edf.top_k_into(slots, &mut edf_tops);
         self.hdf.top_k_into(slots, &mut hdf_tops);
+        let observed = self.obs.is_attached();
         let (mut i, mut j) = (0usize, 0usize);
         while out.len() < slots && (i < edf_tops.len() || j < hdf_tops.len()) {
             let a = edf_tops.get(i).map(|&(_, w)| WfId(w));
             let b = hdf_tops.get(j).map(|&(_, w)| WfId(w));
-            let (head, from_edf) = match (a, b) {
-                (Some(a), None) => (self.head_of(a, self.cfg.edf_head), true),
-                (None, Some(b)) => (self.head_of(b, self.cfg.hdf_head), false),
+            let (head, from_edf, rec) = match (a, b) {
+                (Some(w), None) | (None, Some(w)) => {
+                    let edf = a.is_some();
+                    let rule = if edf {
+                        self.cfg.edf_head
+                    } else {
+                        self.cfg.hdf_head
+                    };
+                    let head = self.head_of(w, rule);
+                    let rec = observed.then(|| self.unopposed_record(table, now, w, head, edf));
+                    (head, edf, rec)
+                }
                 (Some(a), Some(b)) => {
                     let head_a = self.head_of(a, self.cfg.edf_head);
                     let head_b = self.head_of(b, self.cfg.hdf_head);
@@ -792,10 +838,21 @@ impl Scheduler for AsetsStar {
                         .index
                         .representative(b)
                         .expect("HDF candidate has a rep");
-                    if edf_wins(self.cfg.impact, table, now, head_a, &rep_a, head_b, &rep_b) {
-                        (head_a, true)
+                    let impacts =
+                        impact_values(self.cfg.impact, table, now, head_a, &rep_a, head_b, &rep_b);
+                    let rec = observed.then(|| {
+                        self.comparison_record(
+                            table,
+                            now,
+                            (a, head_a, &rep_a),
+                            (b, head_b, &rep_b),
+                            impacts,
+                        )
+                    });
+                    if impacts.0 < impacts.1 {
+                        (head_a, true, rec)
                     } else {
-                        (head_b, false)
+                        (head_b, false, rec)
                     }
                 }
                 (None, None) => unreachable!("loop condition guarantees a candidate"),
@@ -807,6 +864,9 @@ impl Scheduler for AsetsStar {
             }
             if !out.contains(&head) {
                 out.push(head);
+                if let Some(rec) = rec {
+                    self.obs.emit(|o| o.decision(&rec));
+                }
             }
         }
         self.mf_edf = edf_tops;
@@ -967,7 +1027,7 @@ mod tests {
         assert_eq!(p.select(&tbl, at(2)), Some(TxnId(0)));
         assert_eq!(p.hdf_len(), 1, "rep missed: HDF side");
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(4), units(3));
+        tbl.complete_into(TxnId(0), at(4), units(3), &mut Vec::new());
         p.on_complete(TxnId(0), &tbl, at(4));
         p.on_ready(TxnId(1), &tbl, at(4));
         assert_eq!(p.edf_len(), 1, "fresh rep is feasible again");
@@ -1042,7 +1102,7 @@ mod tests {
         arrive_all(&mut tbl, &mut p, at(0));
         assert_eq!(p.select(&tbl, at(0)), Some(TxnId(0)));
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(1), units(1));
+        tbl.complete_into(TxnId(0), at(1), units(1), &mut Vec::new());
         p.on_complete(TxnId(0), &tbl, at(1));
         p.on_ready(TxnId(1), &tbl, at(1));
         p.on_ready(TxnId(2), &tbl, at(1));

@@ -315,7 +315,7 @@ mod tests {
         let mut tbl = readied(&mut p);
         assert_eq!(p.select(&tbl, at(100)), Some(TxnId(0)));
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(150), units(50));
+        tbl.complete_into(TxnId(0), at(150), units(50), &mut Vec::new());
         p.on_complete(TxnId(0), &tbl, at(150));
         assert_eq!(p.pinned(), None);
         assert_eq!(

@@ -489,7 +489,7 @@ mod tests {
         let mut p = Edf::new();
         let mut tbl = readied(&mut p);
         tbl.start_running(TxnId(1));
-        tbl.complete(TxnId(1), at(10), units(8));
+        tbl.complete_into(TxnId(1), at(10), units(8), &mut Vec::new());
         p.on_complete(TxnId(1), &tbl, at(10));
         assert_eq!(
             p.select(&tbl, at(10)),

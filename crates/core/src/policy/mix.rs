@@ -205,7 +205,7 @@ mod tests {
         p.on_ready(TxnId(0), &tbl, at(0));
         p.on_ready(TxnId(1), &tbl, at(0));
         tbl.start_running(TxnId(1));
-        tbl.complete(TxnId(1), at(2), units(2));
+        tbl.complete_into(TxnId(1), at(2), units(2), &mut Vec::new());
         p.on_complete(TxnId(1), &tbl, at(2));
         assert_eq!(p.select(&tbl, at(2)), Some(TxnId(0)));
     }
@@ -241,7 +241,7 @@ mod tests {
         p.on_ready(TxnId(0), &tbl, at(0));
         p.on_ready(TxnId(1), &tbl, at(0));
         tbl.start_running(TxnId(1));
-        tbl.complete(TxnId(1), at(2), units(2));
+        tbl.complete_into(TxnId(1), at(2), units(2), &mut Vec::new());
         p.on_complete(TxnId(1), &tbl, at(2));
         assert_eq!(p.select(&tbl, at(2)), Some(TxnId(0)));
     }

@@ -243,7 +243,7 @@ mod tests {
             at(0),
         );
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(1), units(1));
+        tbl.complete_into(TxnId(0), at(1), units(1), &mut Vec::new());
         p.on_complete(TxnId(0), &tbl, at(1));
         assert_eq!(p.select(&tbl, at(1)), None);
     }

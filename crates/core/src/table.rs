@@ -253,21 +253,13 @@ impl TxnTable {
     }
 
     /// Complete the running transaction `t` at `now`, crediting its final
-    /// slice of service. Returns the transactions *released* by this
-    /// completion: dependents whose last outstanding predecessor was `t` and
-    /// which have already arrived (they transition Blocked → Ready here).
+    /// slice of service. Appends to `released` (not cleared, so the caller
+    /// can reuse one buffer) the transactions this completion *releases*:
+    /// dependents whose last outstanding predecessor was `t` and which have
+    /// already arrived (they transition Blocked → Ready here).
     ///
     /// Dependents that have not yet arrived simply have their `blocked_on`
     /// count decremented; they will be ready upon arrival.
-    pub fn complete(&mut self, t: TxnId, now: SimTime, final_slice: SimDuration) -> Vec<TxnId> {
-        let mut released = Vec::new();
-        self.complete_into(t, now, final_slice, &mut released);
-        released
-    }
-
-    /// [`TxnTable::complete`] with the released dependents appended to a
-    /// caller-owned buffer (not cleared) — the zero-alloc variant for the
-    /// engine's steady-state loop.
     pub fn complete_into(
         &mut self,
         t: TxnId,
@@ -384,7 +376,8 @@ mod tests {
         tbl.arrive(TxnId(0), at(0));
         tbl.arrive(TxnId(1), at(0));
         tbl.start_running(TxnId(0));
-        let released = tbl.complete(TxnId(0), at(2), units(2));
+        let mut released = Vec::new();
+        tbl.complete_into(TxnId(0), at(2), units(2), &mut released);
         assert_eq!(released, vec![TxnId(1)]);
         assert_eq!(tbl.state(TxnId(1)).phase, TxnPhase::Ready);
         assert_eq!(tbl.state(TxnId(1)).ready_at, Some(at(2)));
@@ -395,7 +388,8 @@ mod tests {
         let mut tbl = chain3();
         tbl.arrive(TxnId(0), at(0));
         tbl.start_running(TxnId(0));
-        let released = tbl.complete(TxnId(0), at(2), units(2));
+        let mut released = Vec::new();
+        tbl.complete_into(TxnId(0), at(2), units(2), &mut released);
         assert!(released.is_empty(), "T1 has not arrived yet");
         // When T1 now arrives it is immediately ready.
         assert!(tbl.arrive(TxnId(1), at(3)));
@@ -436,7 +430,7 @@ mod tests {
         let mut tbl = chain3();
         tbl.arrive(TxnId(0), at(0));
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(12), units(2));
+        tbl.complete_into(TxnId(0), at(12), units(2), &mut Vec::new());
         let o = tbl.outcome(TxnId(0));
         assert_eq!(o.finish, at(12));
         assert_eq!(o.tardiness(), units(2)); // deadline was 10
@@ -466,7 +460,7 @@ mod tests {
         let mut tbl = chain3();
         tbl.arrive(TxnId(0), at(0));
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(1), units(1)); // only 1 of 2 served
+        tbl.complete_into(TxnId(0), at(1), units(1), &mut Vec::new()); // only 1 of 2 served
     }
 
     #[test]
@@ -493,8 +487,11 @@ mod tests {
         tbl.arrive(TxnId(1), at(0));
         tbl.arrive(TxnId(2), at(0));
         tbl.start_running(TxnId(0));
-        assert!(tbl.complete(TxnId(0), at(1), units(1)).is_empty());
+        let mut released = Vec::new();
+        tbl.complete_into(TxnId(0), at(1), units(1), &mut released);
+        assert!(released.is_empty());
         tbl.start_running(TxnId(1));
-        assert_eq!(tbl.complete(TxnId(1), at(2), units(1)), vec![TxnId(2)]);
+        tbl.complete_into(TxnId(1), at(2), units(1), &mut released);
+        assert_eq!(released, vec![TxnId(2)]);
     }
 }

@@ -812,9 +812,9 @@ mod tests {
             tbl.arrive(TxnId(t), at(0));
         }
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(4), units(4));
+        tbl.complete_into(TxnId(0), at(4), units(4), &mut Vec::new());
         tbl.start_running(TxnId(1));
-        tbl.complete(TxnId(1), at(7), units(3));
+        tbl.complete_into(TxnId(1), at(7), units(3), &mut Vec::new());
         // K1 remaining = {T3}: rep is T3 itself.
         let r = wfs.representative(WfId(1), &tbl).unwrap();
         assert_eq!(r.deadline, at(9));
@@ -852,9 +852,9 @@ mod tests {
         // Complete T0 and T1: now T2 and T3 are ready, and K0/K1 have
         // distinct heads.
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(4), units(4));
+        tbl.complete_into(TxnId(0), at(4), units(4), &mut Vec::new());
         tbl.start_running(TxnId(1));
-        tbl.complete(TxnId(1), at(7), units(3));
+        tbl.complete_into(TxnId(1), at(7), units(3), &mut Vec::new());
         assert_eq!(
             wfs.head(WfId(0), &tbl, HeadRule::EarliestDeadline),
             Some(TxnId(2))
@@ -904,7 +904,7 @@ mod tests {
         assert!(!wfs.is_finished(WfId(0), &tbl));
         tbl.arrive(TxnId(0), at(0));
         tbl.start_running(TxnId(0));
-        tbl.complete(TxnId(0), at(1), units(1));
+        tbl.complete_into(TxnId(0), at(1), units(1), &mut Vec::new());
         assert!(wfs.is_finished(WfId(0), &tbl));
     }
 
@@ -978,7 +978,8 @@ mod tests {
         idx.on_requeue(TxnId(0), &wfs, &tbl);
         check(&idx, &tbl);
         tbl.start_running(TxnId(0));
-        let released = tbl.complete(TxnId(0), at(4), units(1));
+        let mut released = Vec::new();
+        tbl.complete_into(TxnId(0), at(4), units(1), &mut released);
         idx.on_complete(TxnId(0), &wfs);
         for r in released {
             idx.on_ready(r, &wfs, &tbl);
@@ -986,7 +987,8 @@ mod tests {
         check(&idx, &tbl);
         // Finish T1: releases both roots T2 and T3.
         tbl.start_running(TxnId(1));
-        let released = tbl.complete(TxnId(1), at(7), units(3));
+        let mut released = Vec::new();
+        tbl.complete_into(TxnId(1), at(7), units(3), &mut released);
         idx.on_complete(TxnId(1), &wfs);
         for r in released {
             idx.on_ready(r, &wfs, &tbl);
@@ -1144,7 +1146,8 @@ mod proptests {
                         tbl.pause(r, SimDuration::from_ticks(served));
                         events.push(LifecycleEvent::Requeue(r));
                     } else {
-                        let released = tbl.complete(r, at(now), rem);
+                        let mut released = Vec::new();
+                        tbl.complete_into(r, at(now), rem, &mut released);
                         events.push(LifecycleEvent::Complete(r));
                         for d in released {
                             events.push(LifecycleEvent::Ready(d));
@@ -1207,7 +1210,8 @@ mod proptests {
                         tbl.pause(r, SimDuration::from_ticks(served));
                         idx.on_requeue(r, &wfs, &tbl);
                     } else {
-                        let released = tbl.complete(r, at(now), rem);
+                        let mut released = Vec::new();
+                        tbl.complete_into(r, at(now), rem, &mut released);
                         idx.on_complete(r, &wfs);
                         for d in released {
                             idx.on_ready(d, &wfs, &tbl);

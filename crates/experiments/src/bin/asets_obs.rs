@@ -1,44 +1,42 @@
-//! `asets-obs` — interrogate a scheduler flight-recorder dump and its
-//! lifecycle span stream.
+//! `asets-obs` — interrogate a scheduler flight-recorder dump: decision
+//! provenance and transaction lifecycles, one file.
 //!
 //! ```text
 //! asets-obs why <flight.jsonl> <T5> [<time-units>]   # why did T5 run (at t)?
 //! asets-obs migrations <flight.jsonl> <K3|T5>        # EDF<->HDF history
 //! asets-obs top <flight.jsonl> [k]                   # k widest-margin decisions
-//! asets-obs check <flight.jsonl> [<spans.jsonl>]     # re-derive every winner
-//! asets-obs summary <flight.jsonl>                   # event/decision counts
-//! asets-obs timeline <spans.jsonl> <T5>              # arrival->completion chain
-//! asets-obs slo <spans.jsonl> [window]               # tardiness/miss telemetry
+//! asets-obs check <flight.jsonl>                     # re-derive every winner
+//! asets-obs summary <flight.jsonl>                   # record/decision counts
+//! asets-obs timeline <flight.jsonl> <T5>             # arrival->completion chain
+//! asets-obs slo <flight.jsonl> [window]              # tardiness/miss telemetry
 //! ```
 //!
 //! Flight dumps come from `repro <figure> --obs-out <dir>`, `repro replay
-//! ... --obs-out <dir>`, or any run wired through
-//! `asets_obs::FlightRecorder`; span streams come from `repro spans <dir>`
-//! or any run wired through `asets_obs::SpanRecorder`. Transactions are
-//! named `T<n>` and workflows `K<n>`, exactly as every other tool in this
-//! repo prints them.
+//! ... --obs-out <dir>`, `repro spans <dir>`, or any run wired through
+//! `asets_obs::FlightRecorder`. Transactions are named `T<n>` and
+//! workflows `K<n>`, exactly as every other tool in this repo prints them.
 
 use asets_core::obs::MigrationSubject;
 use asets_core::time::SimTime;
 use asets_core::txn::TxnId;
 use asets_core::workflow::WfId;
-use asets_obs::{Dump, RecordedEvent, Timeline};
+use asets_obs::{Dump, Record, Timeline};
 use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: asets-obs <why|migrations|top|check|summary> <flight.jsonl> [args]\n\
-         \x20      asets-obs <timeline|slo> <spans.jsonl> [args]\n\
+        "usage: asets-obs <why|migrations|top|check|summary|timeline|slo> <flight.jsonl> [args]\n\
          \x20 why <dump> <T5> [time-units]   decisions that chose T5 (at a given instant)\n\
          \x20 migrations <dump> <K3|T5>      list-migration history of a workflow/transaction\n\
          \x20 top <dump> [k]                 k widest-margin comparisons (default 10)\n\
-         \x20 check <dump> [spans]           re-derive every recorded winner from its r/s/w;\n\
-         \x20                                with a span stream, also cross-check dispatched\n\
-         \x20                                heads against winning-workflow membership\n\
+         \x20 check <dump>                   re-derive every recorded winner from its r/s/w,\n\
+         \x20                                match every dispatch to its decision, check the\n\
+         \x20                                lifecycle records and, with a membership snapshot,\n\
+         \x20                                dispatched heads against the winning workflow\n\
          \x20 summary <dump>                 event counts and decision breakdown\n\
-         \x20 timeline <spans> <T5>          T5's arrival->ready->run->completion chain\n\
-         \x20 slo <spans> [window]           tardiness/queue-wait quantiles + miss ratios"
+         \x20 timeline <dump> <T5>           T5's arrival->ready->run->completion chain\n\
+         \x20 slo <dump> [window]            tardiness/queue-wait quantiles + miss ratios"
     );
     ExitCode::FAILURE
 }
@@ -134,18 +132,17 @@ fn top(dump: &Dump, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn check(dump: &Dump, args: &[String]) -> Result<(), String> {
+fn check(dump: &Dump) -> Result<(), String> {
+    let tl = Timeline::from_dump(dump);
     let comparisons = dump.decisions().filter(|(_, r)| r.is_comparison()).count();
-    let timeline = match args.first() {
-        Some(path) => Some(Timeline::load(Path::new(path))?),
-        None => None,
-    };
-    let failures = match &timeline {
-        Some(tl) => dump.check_with_spans(tl),
-        None => dump.check(),
+    // Without a membership snapshot every workflow would look unknown.
+    let failures = if dump.wf_members.is_empty() {
+        dump.check()
+    } else {
+        dump.check_with_spans(&tl)
     };
     let mismatches = dump.dispatch_decision_mismatches();
-    let span_fails = timeline.as_ref().map_or_else(Vec::new, |tl| tl.check(None));
+    let span_fails = tl.check(None);
     for f in &failures {
         println!("FAIL #{}: {}", f.seq, f.reason);
     }
@@ -159,13 +156,11 @@ fn check(dump: &Dump, args: &[String]) -> Result<(), String> {
         println!("FAIL span: {f}");
     }
     if failures.is_empty() && mismatches.is_empty() && span_fails.is_empty() {
-        let spans = match &timeline {
-            Some(tl) => format!(", {} span timeline(s) consistent", tl.txns().count()),
-            None => String::new(),
-        };
         println!(
-            "ok: {} decisions ({comparisons} comparisons) re-derive, every dispatch matches{spans}",
-            dump.decisions().count()
+            "ok: {} decisions ({comparisons} comparisons) re-derive, every dispatch matches, \
+             {} transaction timeline(s) consistent",
+            dump.decisions().count(),
+            tl.txns().count()
         );
         Ok(())
     } else {
@@ -227,11 +222,12 @@ fn summary(dump: &Dump) {
     let mut preemptions = 0usize;
     let mut rebalances = 0usize;
     let mut admissions = 0usize;
+    let mut lifecycle = 0usize;
     let mut edf_wins = 0usize;
     let mut hdf_wins = 0usize;
-    for (_, ev) in &dump.events {
+    for (_, ev) in &dump.records {
         match ev {
-            RecordedEvent::Decision(r) => {
+            Record::Decision(r) => {
                 decisions += 1;
                 if r.is_comparison() {
                     comparisons += 1;
@@ -242,33 +238,50 @@ fn summary(dump: &Dump) {
                     }
                 }
             }
-            RecordedEvent::Migration(_) => migrations += 1,
-            RecordedEvent::Dispatch { preempted, .. } => {
+            Record::Migration(_) => migrations += 1,
+            Record::Dispatch { preempted, .. } => {
                 dispatches += 1;
                 if preempted.is_some() {
                     preemptions += 1;
                 }
             }
-            RecordedEvent::Rebalance(_) => rebalances += 1,
-            RecordedEvent::Admission(_) => admissions += 1,
+            Record::Rebalance(_) => rebalances += 1,
+            Record::Admission(_) => admissions += 1,
+            Record::Arrived { .. }
+            | Record::Ready { .. }
+            | Record::Served { .. }
+            | Record::Completed { .. } => lifecycle += 1,
         }
     }
-    println!("{} events", dump.events.len());
+    println!("{} records", dump.records.len());
     println!("  decisions:  {decisions} ({comparisons} two-sided: {edf_wins} EDF, {hdf_wins} HDF)");
     println!("  migrations: {migrations}");
     println!("  dispatches: {dispatches} ({preemptions} preempting)");
+    if lifecycle > 0 {
+        println!("  lifecycle:  {lifecycle}");
+    }
     if rebalances > 0 {
         println!("  rebalances: {rebalances}");
     }
     if admissions > 0 {
         println!("  admission sheds: {admissions}");
     }
-    if let Some((seq, ev)) = dump.events.first() {
+    for p in &dump.profiles {
+        let shard = p.shard.map_or(String::new(), |s| format!(" (shard {s})"));
+        println!(
+            "  profile {:<8} {} points, mean {:.0} ns, max {} ns{shard}",
+            p.phase.token(),
+            p.agg.count,
+            p.agg.mean_ns(),
+            p.agg.max_ns
+        );
+    }
+    if let Some((seq, ev)) = dump.records.first() {
         println!(
             "  span: seq {seq}..{} / t {:.3}..{:.3}",
-            dump.events.last().map(|(s, _)| *s).unwrap_or(*seq),
+            dump.records.last().map(|(s, _)| *s).unwrap_or(*seq),
             ev.at().as_units(),
-            dump.events
+            dump.records
                 .last()
                 .map(|(_, e)| e.at().as_units())
                 .unwrap_or(0.0)
@@ -282,43 +295,38 @@ fn main() -> ExitCode {
         return usage();
     };
     let rest = &args[2..];
-    // timeline/slo read a span stream; everything else reads a flight dump.
+    const COMMANDS: [&str; 7] = [
+        "why",
+        "migrations",
+        "top",
+        "check",
+        "summary",
+        "timeline",
+        "slo",
+    ];
+    if !COMMANDS.contains(&cmd.as_str()) {
+        return usage();
+    }
+    let dump = match Dump::load(Path::new(path)) {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let outcome = match cmd.as_str() {
-        "timeline" | "slo" => {
-            let tl = match Timeline::load(Path::new(path)) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if cmd == "timeline" {
-                timeline_cmd(&tl, rest)
-            } else {
-                slo_cmd(&tl, rest)
-            }
+        "why" => why(&dump, rest),
+        "migrations" => migrations(&dump, rest),
+        "top" => top(&dump, rest),
+        "check" if rest.is_empty() => check(&dump),
+        "check" => Err("check reads one flight.jsonl; its lifecycle records are inside".into()),
+        "summary" => {
+            summary(&dump);
+            Ok(())
         }
-        "why" | "migrations" | "top" | "check" | "summary" => {
-            let dump = match Dump::load(Path::new(path)) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match cmd.as_str() {
-                "why" => why(&dump, rest),
-                "migrations" => migrations(&dump, rest),
-                "top" => top(&dump, rest),
-                "check" => check(&dump, rest),
-                "summary" => {
-                    summary(&dump);
-                    Ok(())
-                }
-                _ => unreachable!(),
-            }
-        }
-        _ => return usage(),
+        "timeline" => timeline_cmd(&Timeline::from_dump(&dump), rest),
+        "slo" => slo_cmd(&Timeline::from_dump(&dump), rest),
+        _ => unreachable!("filtered against COMMANDS"),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,

@@ -1,11 +1,11 @@
-//! Extension experiment: scheduler self-profile via lifecycle spans.
+//! Extension experiment: scheduler self-profile via the flight recorder.
 //!
 //! The engine stamps every scheduling point with three wall-clock phases
 //! when an observer is attached — `maintain` (settle + arrivals + index
 //! maintenance), `select` (the comparison itself, the same nanoseconds the
 //! flight recorder's latency histogram sees), and `dispatch` (routing the
 //! choice onto servers). This figure runs the deep-chain batch on the
-//! sharded runtime at K ∈ {1, 4, 8} with a [`asets_obs::SpanCollector`]
+//! sharded runtime at K ∈ {1, 4, 8} with a [`asets_obs::FlightRecorder`]
 //! per shard and reports the mean nanoseconds per phase, summed across
 //! shards, plus select's share of the total.
 //!
@@ -19,7 +19,7 @@ use crate::config::ExpConfig;
 use crate::report::Report;
 use asets_core::obs::EnginePhase;
 use asets_core::policy::PolicyKind;
-use asets_obs::{PhaseAgg, SpanCollector};
+use asets_obs::{FlightRecorder, PhaseAgg};
 use asets_sim::ShardedRuntime;
 use asets_workload::deep_chains;
 
@@ -29,10 +29,10 @@ pub const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
 /// Chain length shared with the scale-out sweep.
 pub const CHAIN_LEN: usize = 25;
 
-/// Sum one phase's aggregate across every shard's collector.
-fn phase_total(collectors: &[SpanCollector], phase: EnginePhase) -> PhaseAgg {
+/// Sum one phase's aggregate across every shard's recorder.
+fn phase_total(recorders: &[FlightRecorder], phase: EnginePhase) -> PhaseAgg {
     let mut agg = PhaseAgg::default();
-    for c in collectors {
+    for c in recorders {
         let p = c.phase(phase);
         agg.count += p.count;
         agg.total_ns += p.total_ns;
@@ -56,12 +56,14 @@ pub fn run(cfg: &ExpConfig) -> Report {
         ],
     );
     for &k in &SHARD_COUNTS {
-        let (_, collectors) = ShardedRuntime::new(specs.clone(), PolicyKind::asets_star())
+        let (_, recorders) = ShardedRuntime::new(specs.clone(), PolicyKind::asets_star())
             .shards(k)
             .servers(cfg.servers)
-            .run_observed(|shard, _table| SpanCollector::new().with_shard(shard as u32))
+            .run_observed(|shard, _table| {
+                FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY).with_shard(shard as u32)
+            })
             .expect("deep chains are acyclic");
-        let phases = EnginePhase::ALL.map(|p| phase_total(&collectors, p));
+        let phases = EnginePhase::ALL.map(|p| phase_total(&recorders, p));
         let means = phases.map(|p| p.mean_ns());
         let total: f64 = means.iter().sum();
         let select = means[EnginePhase::Select as usize];

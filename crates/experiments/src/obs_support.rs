@@ -16,7 +16,7 @@ use asets_core::policy::PolicyKind;
 use asets_core::table::TxnTable;
 use asets_core::time::SimDuration;
 use asets_core::txn::TxnSpec;
-use asets_obs::{FlightRecorder, SloMonitor, SpanRecorder, Timeline};
+use asets_obs::{Dump, FlightRecorder, SloMonitor, Timeline};
 use asets_sim::{Engine, SimResult};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -106,24 +106,9 @@ pub fn representative_run(cfg: &ExpConfig, dir: &Path) -> Result<String, String>
     ))
 }
 
-/// Paths written by [`write_span_artifacts`].
-#[derive(Debug, Clone)]
-pub struct SpanArtifacts {
-    /// Merged lifecycle span stream (`spans.jsonl`).
-    pub spans: PathBuf,
-    /// Chrome/Perfetto trace-event JSON (`trace.json`).
-    pub trace: PathBuf,
-    /// Merged flight-recorder dump (`flight.jsonl`).
-    pub flight: PathBuf,
-    /// SLO telemetry, Prometheus text (`slo.prom`).
-    pub slo_prom: PathBuf,
-    /// SLO telemetry, JSON lines (`slo.jsonl`).
-    pub slo_jsonl: PathBuf,
-}
-
 /// Run `specs` under `kind` on a sharded runtime (K shards × M servers)
-/// with a [`SpanRecorder`] on every shard: flight ring + lifecycle spans +
-/// workflow snapshot, decision-seq links intact. Recorders come back
+/// with a [`FlightRecorder`] on every shard: decisions, lifecycle records
+/// and workflow snapshot in one stream per shard. Recorders come back
 /// remapped to **global** transaction ids, in shard order.
 pub fn run_traced(
     specs: Vec<TxnSpec>,
@@ -131,12 +116,12 @@ pub fn run_traced(
     shards: usize,
     servers: usize,
     capacity: usize,
-) -> Result<(asets_sim::ShardedResult, Vec<SpanRecorder>), asets_core::dag::DagError> {
+) -> Result<(asets_sim::ShardedResult, Vec<FlightRecorder>), asets_core::dag::DagError> {
     let (result, mut recorders) = asets_sim::ShardedRuntime::new(specs, kind)
         .shards(shards)
         .servers(servers)
         .run_observed(|shard, table| {
-            SpanRecorder::new(capacity)
+            FlightRecorder::new(capacity)
                 .with_shard(shard as u32)
                 .with_workflows_from(table)
         })?;
@@ -162,38 +147,13 @@ pub fn slo_from_timeline(tl: &Timeline, window: usize) -> SloMonitor {
     slo
 }
 
-/// Write a traced run's artifacts into `dir` (created if missing): the
-/// merged span stream, the Perfetto trace, the merged flight dump, and
-/// both SLO expositions.
-pub fn write_span_artifacts(
-    dir: &Path,
-    recorders: &[SpanRecorder],
-) -> std::io::Result<SpanArtifacts> {
-    std::fs::create_dir_all(dir)?;
-    let spans: Vec<_> = recorders.iter().map(|r| r.spans.clone()).collect();
-    let flights: Vec<_> = recorders.iter().map(|r| r.flight.clone()).collect();
-    let tl = Timeline::from_collectors(&spans);
-    let slo = slo_from_timeline(&tl, asets_obs::DEFAULT_SLO_WINDOW);
-    let artifacts = SpanArtifacts {
-        spans: dir.join("spans.jsonl"),
-        trace: dir.join("trace.json"),
-        flight: dir.join("flight.jsonl"),
-        slo_prom: dir.join("slo.prom"),
-        slo_jsonl: dir.join("slo.jsonl"),
-    };
-    std::fs::write(&artifacts.spans, asets_obs::dump_spans(&spans))?;
-    std::fs::write(&artifacts.trace, tl.to_perfetto())?;
-    std::fs::write(&artifacts.flight, asets_obs::dump_sharded(&flights))?;
-    std::fs::write(&artifacts.slo_prom, slo.to_prometheus())?;
-    std::fs::write(&artifacts.slo_jsonl, slo.to_jsonl())?;
-    Ok(artifacts)
-}
-
 /// The `repro spans` run: trace the deep-chain workload on a sharded
-/// runtime and drop every span/SLO artifact into `dir`. Returns a console
-/// summary. The trace is verified before it is written: span-interval
-/// invariants against the merged run stats, and every workflow-level
-/// decision against the span stream's membership snapshot.
+/// runtime and write `flight.jsonl` (every shard's records), `trace.json`
+/// (Perfetto) and `slo.prom`/`slo.jsonl` into `dir` (created if missing).
+/// Returns a console summary. The trace is verified before it is
+/// written: span-interval invariants against the merged run stats, every
+/// decision re-derived, and every workflow-level decision against the
+/// membership snapshot.
 pub fn spans_run(
     dir: &Path,
     n_txns: usize,
@@ -210,26 +170,28 @@ pub fn spans_run(
     )
     .map_err(|e| format!("deep-chain workload invalid: {e}"))?;
 
-    let span_halves: Vec<_> = recorders.iter().map(|r| r.spans.clone()).collect();
-    let tl = Timeline::from_collectors(&span_halves);
+    let tl = Timeline::from_recorders(&recorders);
     let fails = tl.check(Some(result.merged.stats.preemptions));
     if !fails.is_empty() {
         return Err(format!("span invariants violated: {fails:?}"));
     }
-    let flight_text = asets_obs::dump_sharded(
-        &recorders
-            .iter()
-            .map(|r| r.flight.clone())
-            .collect::<Vec<_>>(),
-    );
-    let dump = asets_obs::Dump::parse(&flight_text).map_err(|e| format!("flight dump: {e}"))?;
+    let flight = asets_obs::dump_sharded(&recorders);
+    let dump = Dump::parse(&flight).map_err(|e| format!("flight dump: {e}"))?;
     let fails = dump.check_with_spans(&tl);
     if !fails.is_empty() {
         return Err(format!("decision checks failed: {fails:?}"));
     }
 
-    let artifacts = write_span_artifacts(dir, &recorders).map_err(|e| e.to_string())?;
     let slo = slo_from_timeline(&tl, asets_obs::DEFAULT_SLO_WINDOW);
+    let trace = dir.join("trace.json");
+    let write = || -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        std::fs::write(dir.join("flight.jsonl"), &flight)?;
+        std::fs::write(&trace, tl.to_perfetto())?;
+        std::fs::write(dir.join("slo.prom"), slo.to_prometheus())?;
+        std::fs::write(dir.join("slo.jsonl"), slo.to_jsonl())
+    };
+    write().map_err(|e| e.to_string())?;
     Ok(format!(
         "traced {} txns over {shards} shard(s) x {servers} server(s): \
          {} preemptions, miss-ratio {:.4}, p95 tardiness {:.3} units -> {}",
@@ -238,7 +200,7 @@ pub fn spans_run(
         slo.miss_ratio(),
         slo.tardiness().quantile(0.95).unwrap_or(0) as f64
             / asets_core::time::TICKS_PER_UNIT as f64,
-        artifacts.trace.display(),
+        trace.display(),
     ))
 }
 
@@ -256,7 +218,6 @@ pub fn attach_new_recorder<S: asets_core::policy::Scheduler>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asets_obs::Dump;
 
     #[test]
     fn observed_run_dump_checks_clean() {

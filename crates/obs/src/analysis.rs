@@ -5,43 +5,77 @@
 //! migration history", "which decisions were closest/widest", and — the
 //! trust anchor — *re-derive* every recorded decision from its own
 //! `r`/`s`/`w` numbers and confirm the recorded winner actually satisfies
-//! the Eq. 1 / Fig. 7 inequality ([`Dump::check`]).
+//! the Eq. 1 / Fig. 7 inequality ([`Dump::check`]). [`Dump::parse`] is the
+//! only reader of the format; [`crate::Timeline::from_dump`] reassembles
+//! the lifecycle records it holds.
 
 use crate::json::{parse_flat, FlatObj};
-use crate::recorder::RecordedEvent;
+use crate::recorder::{PhaseAgg, Record};
 use asets_core::obs::{
-    Candidate, DecisionRecord, DecisionRule, MigrationEvent, MigrationSubject, Winner,
+    Candidate, CompletionInfo, DecisionRecord, DecisionRule, EnginePhase, MigrationEvent,
+    MigrationSubject, Winner,
 };
 use asets_core::time::{SimDuration, SimTime, Slack};
 use asets_core::txn::TxnId;
 use asets_core::workflow::WfId;
 use asets_sim::{AdmissionEvent, RebalanceEvent};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 
-/// A parsed flight-recorder dump: `(seq, event)` pairs in dump order.
+/// One shard's self-profiling aggregate for one engine phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseProfile {
+    /// Shard label (None for unsharded runs).
+    pub shard: Option<u32>,
+    /// Which engine phase.
+    pub phase: EnginePhase,
+    /// The aggregate.
+    pub agg: PhaseAgg,
+}
+
+/// A parsed flight-recorder dump: `(seq, record)` pairs in dump order plus
+/// the header lines.
 #[derive(Debug, Clone, Default)]
 pub struct Dump {
-    /// Events with their global sequence numbers.
-    pub events: Vec<(u64, RecordedEvent)>,
-    /// Per-event shard labels, aligned with `events` (`None` for lines
+    /// Records with their sequence numbers (per recorder, so per shard).
+    pub records: Vec<(u64, Record)>,
+    /// Per-record shard labels, aligned with `records` (`None` for lines
     /// without a `shard` field — unsharded runs).
     pub shards: Vec<Option<u32>>,
+    /// Workflow membership snapshot, `(shard, wf, txn)` in dump order.
+    pub wf_members: Vec<(Option<u32>, u32, TxnId)>,
+    /// Self-profiling aggregates, in dump order (per shard, per phase).
+    pub profiles: Vec<PhaseProfile>,
 }
 
 impl Dump {
-    /// Parse a dump from its JSONL text.
+    /// Parse a dump from its JSONL text (possibly several shards'
+    /// dumps concatenated).
     pub fn parse(text: &str) -> Result<Dump, String> {
-        let mut events = Vec::new();
-        let mut shards = Vec::new();
+        let mut dump = Dump::default();
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let obj = parse_flat(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            events.push(parse_event(&obj).map_err(|e| format!("line {}: {e}", i + 1))?);
-            shards.push(obj.int("shard").map(|s| s as u32));
+            let at_line = |e: String| format!("line {}: {e}", i + 1);
+            let obj = parse_flat(line).map_err(at_line)?;
+            let shard = obj.int("shard").map(|s| s as u32);
+            match obj.str("kind") {
+                Some("wf-member") => dump.wf_members.push((
+                    shard,
+                    int(&obj, "wf").map_err(at_line)? as u32,
+                    TxnId(int(&obj, "txn").map_err(at_line)? as u32),
+                )),
+                Some("profile") => dump
+                    .profiles
+                    .push(parse_profile(&obj, shard).map_err(at_line)?),
+                _ => {
+                    dump.records.push(parse_record(&obj).map_err(at_line)?);
+                    dump.shards.push(shard);
+                }
+            }
         }
-        Ok(Dump { events, shards })
+        Ok(dump)
     }
 
     /// Read and parse a dump file.
@@ -51,34 +85,45 @@ impl Dump {
         Dump::parse(&text)
     }
 
+    /// Records the ring evicted from the front of the run, summed over
+    /// shards: each recorder numbers from 0, so the first retained `seq`
+    /// of a shard is how many of its records are gone.
+    pub fn evicted(&self) -> u64 {
+        let mut first: BTreeMap<Option<u32>, u64> = BTreeMap::new();
+        for ((seq, _), shard) in self.records.iter().zip(&self.shards) {
+            first.entry(*shard).or_insert(*seq);
+        }
+        first.values().sum()
+    }
+
     /// All decision records, with sequence numbers.
     pub fn decisions(&self) -> impl Iterator<Item = (u64, &DecisionRecord)> {
-        self.events.iter().filter_map(|(s, e)| match e {
-            RecordedEvent::Decision(r) => Some((*s, r)),
+        self.records.iter().filter_map(|(s, e)| match e {
+            Record::Decision(r) => Some((*s, r)),
             _ => None,
         })
     }
 
     /// All migration events.
     pub fn migrations(&self) -> impl Iterator<Item = (u64, &MigrationEvent)> {
-        self.events.iter().filter_map(|(s, e)| match e {
-            RecordedEvent::Migration(m) => Some((*s, m)),
+        self.records.iter().filter_map(|(s, e)| match e {
+            Record::Migration(m) => Some((*s, m)),
             _ => None,
         })
     }
 
     /// All cross-shard migrations (rebalanced sharded runs).
     pub fn rebalances(&self) -> impl Iterator<Item = (u64, &RebalanceEvent)> {
-        self.events.iter().filter_map(|(s, e)| match e {
-            RecordedEvent::Rebalance(r) => Some((*s, r)),
+        self.records.iter().filter_map(|(s, e)| match e {
+            Record::Rebalance(r) => Some((*s, r)),
             _ => None,
         })
     }
 
     /// All admission-control sheds (live-path runs).
     pub fn admissions(&self) -> impl Iterator<Item = (u64, &AdmissionEvent)> {
-        self.events.iter().filter_map(|(s, e)| match e {
-            RecordedEvent::Admission(a) => Some((*s, a)),
+        self.records.iter().filter_map(|(s, e)| match e {
+            Record::Admission(a) => Some((*s, a)),
             _ => None,
         })
     }
@@ -137,19 +182,18 @@ impl Dump {
         failures
     }
 
-    /// Cross-check Fig. 7 workflow-level decisions against the span
-    /// stream: the transaction a decision chose must be a member of the
-    /// winning candidate's workflow, per the membership snapshot the span
-    /// collector took from the live table. [`Dump::check`] re-derives the
-    /// *arithmetic* of each record; this verifies its *referents* — a
-    /// decision can be internally consistent yet dispatch a transaction
-    /// from the wrong workflow, which only the span stream can expose.
-    /// Workflow ids are shard-local, so each decision is resolved under
-    /// its own line's shard label.
+    /// Cross-check Fig. 7 workflow-level decisions against the workflow
+    /// membership snapshot the recorder took from the live table: the
+    /// transaction a decision chose must be a member of the winning
+    /// candidate's workflow. [`Dump::check`] re-derives the *arithmetic* of
+    /// each record; this verifies its *referents* — a decision can be
+    /// internally consistent yet dispatch a transaction from the wrong
+    /// workflow. Workflow ids are shard-local, so each decision is
+    /// resolved under its own line's shard label.
     pub fn check_against_timeline(&self, tl: &crate::timeline::Timeline) -> Vec<CheckFailure> {
         let mut failures = Vec::new();
-        for (i, (seq, ev)) in self.events.iter().enumerate() {
-            let RecordedEvent::Decision(rec) = ev else {
+        for (i, (seq, ev)) in self.records.iter().enumerate() {
+            let Record::Decision(rec) = ev else {
                 continue;
             };
             let winning = match rec.winner {
@@ -165,7 +209,7 @@ impl Dump {
                 failures.push(CheckFailure {
                     seq: *seq,
                     reason: format!(
-                        "decision chose {} for W{} but the span stream knows no such workflow",
+                        "decision chose {} for W{} but the membership snapshot knows no such workflow",
                         rec.chosen, w.0
                     ),
                 });
@@ -197,27 +241,42 @@ impl Dump {
         failures
     }
 
-    /// Dispatches with no same-instant decision choosing the same
-    /// transaction (the dispatch↔decision invariant). Dispatches that
-    /// precede the first retained decision are skipped: a ring that evicted
-    /// the front of the run cannot testify about it.
+    /// Dispatches whose `decision_seq` does not name a retained decision
+    /// record of the same shard, at the same instant, choosing the same
+    /// transaction (the dispatch↔decision invariant). A stamp below the
+    /// shard's first retained `seq` points into what the ring evicted and
+    /// is skipped; an unstamped dispatch counts only in shards whose policy
+    /// records decisions at all.
     pub fn dispatch_decision_mismatches(&self) -> Vec<(u64, SimTime, TxnId)> {
-        let first_decision_seq = match self.decisions().map(|(s, _)| s).min() {
-            Some(s) => s,
-            None => return Vec::new(),
-        };
-        self.events
+        let mut first: HashMap<Option<u32>, u64> = HashMap::new();
+        let mut decisions: HashMap<(Option<u32>, u64), (SimTime, TxnId)> = HashMap::new();
+        let mut deciding: HashSet<Option<u32>> = HashSet::new();
+        for ((seq, rec), shard) in self.records.iter().zip(&self.shards) {
+            first.entry(*shard).or_insert(*seq);
+            if let Record::Decision(d) = rec {
+                decisions.insert((*shard, *seq), (d.at, d.chosen));
+                deciding.insert(*shard);
+            }
+        }
+        self.records
             .iter()
-            .filter_map(|(s, e)| match e {
-                RecordedEvent::Dispatch { at, txn, .. } if *s > first_decision_seq => {
-                    Some((*s, *at, *txn))
-                }
-                _ => None,
-            })
-            .filter(|(_, at, txn)| {
-                !self
-                    .decisions()
-                    .any(|(_, r)| r.at == *at && r.chosen == *txn)
+            .zip(&self.shards)
+            .filter_map(|((seq, rec), shard)| {
+                let Record::Dispatch {
+                    at,
+                    txn,
+                    decision_seq,
+                    ..
+                } = rec
+                else {
+                    return None;
+                };
+                let explained = match decision_seq {
+                    None => !deciding.contains(shard),
+                    Some(d) if *d < first[shard] => true,
+                    Some(d) => decisions.get(&(*shard, *d)) == Some(&(*at, *txn)),
+                };
+                (!explained).then_some((*seq, *at, *txn))
             })
             .collect()
     }
@@ -311,11 +370,43 @@ fn check_record(rec: &DecisionRecord) -> Result<(), String> {
     }
 }
 
-fn parse_event(obj: &FlatObj) -> Result<(u64, RecordedEvent), String> {
-    let seq = obj.int("seq").ok_or("missing seq")? as u64;
-    let at = SimTime::from_ticks(obj.int("at").ok_or("missing at")? as u64);
-    let ev = match obj.str("kind") {
-        Some("decision") => RecordedEvent::Decision(DecisionRecord {
+fn int(obj: &FlatObj, key: &str) -> Result<i128, String> {
+    obj.int(key).ok_or_else(|| format!("missing {key}"))
+}
+
+fn flag(obj: &FlatObj, key: &str) -> Result<bool, String> {
+    obj.bool(key).ok_or_else(|| format!("missing {key}"))
+}
+
+fn txn(obj: &FlatObj, key: &str) -> Result<TxnId, String> {
+    int(obj, key).map(|t| TxnId(t as u32))
+}
+
+fn ticks(obj: &FlatObj, key: &str) -> Result<u64, String> {
+    int(obj, key).map(|t| t as u64)
+}
+
+fn parse_profile(obj: &FlatObj, shard: Option<u32>) -> Result<PhaseProfile, String> {
+    Ok(PhaseProfile {
+        shard,
+        phase: obj
+            .str("phase")
+            .and_then(EnginePhase::parse)
+            .ok_or("bad phase")?,
+        agg: PhaseAgg {
+            count: ticks(obj, "count")?,
+            total_ns: ticks(obj, "total_ns")?,
+            max_ns: ticks(obj, "max_ns")?,
+        },
+    })
+}
+
+fn parse_record(obj: &FlatObj) -> Result<(u64, Record), String> {
+    // The kind is judged first, so a foreign line is named as such
+    // rather than by whichever common field it happens to lack.
+    let at = SimTime::from_ticks(obj.int("at").unwrap_or(0) as u64);
+    let rec = match obj.str("kind") {
+        Some("decision") => Record::Decision(DecisionRecord {
             at,
             rule: obj
                 .str("rule")
@@ -323,46 +414,75 @@ fn parse_event(obj: &FlatObj) -> Result<(u64, RecordedEvent), String> {
                 .ok_or("bad rule")?,
             edf: parse_candidate(obj, "edf")?,
             hdf: parse_candidate(obj, "hdf")?,
-            impact_edf: obj.int("impact_edf").ok_or("missing impact_edf")?,
-            impact_hdf: obj.int("impact_hdf").ok_or("missing impact_hdf")?,
+            impact_edf: int(obj, "impact_edf")?,
+            impact_hdf: int(obj, "impact_hdf")?,
             winner: obj
                 .str("winner")
                 .and_then(Winner::parse)
                 .ok_or("bad winner")?,
-            chosen: TxnId(obj.int("chosen").ok_or("missing chosen")? as u32),
+            chosen: txn(obj, "chosen")?,
             edf_len: obj.int("edf_len").unwrap_or(0) as u32,
             hdf_len: obj.int("hdf_len").unwrap_or(0) as u32,
         }),
-        Some("migration") => RecordedEvent::Migration(MigrationEvent {
+        Some("migration") => Record::Migration(MigrationEvent {
             at,
             subject: match (obj.int("wf"), obj.int("txn")) {
                 (Some(w), _) => MigrationSubject::Workflow(WfId(w as u32)),
                 (None, Some(t)) => MigrationSubject::Txn(TxnId(t as u32)),
                 (None, None) => return Err("migration without wf/txn".into()),
             },
-            to_hdf: obj.bool("to_hdf").ok_or("missing to_hdf")?,
+            to_hdf: flag(obj, "to_hdf")?,
         }),
-        Some("dispatch") => RecordedEvent::Dispatch {
+        Some("dispatch") => Record::Dispatch {
             at,
-            txn: TxnId(obj.int("txn").ok_or("missing txn")? as u32),
+            txn: txn(obj, "txn")?,
             preempted: obj.int("preempted").map(|p| TxnId(p as u32)),
+            decision_seq: obj.int("decision_seq").map(|s| s as u64),
         },
-        Some("rebalance") => RecordedEvent::Rebalance(match obj.str("action") {
+        Some("arrived") => Record::Arrived {
+            at,
+            txn: txn(obj, "txn")?,
+            ready: flag(obj, "ready")?,
+        },
+        Some("ready") => Record::Ready {
+            at,
+            txn: txn(obj, "txn")?,
+        },
+        Some("served") => Record::Served {
+            server: int(obj, "server")? as u32,
+            txn: txn(obj, "txn")?,
+            from: SimTime::from_ticks(ticks(obj, "from")?),
+            until: at,
+            completed: flag(obj, "completed")?,
+        },
+        Some("completed") => Record::Completed {
+            at,
+            txn: txn(obj, "txn")?,
+            info: CompletionInfo {
+                finish: at,
+                deadline: SimTime::from_ticks(ticks(obj, "deadline")?),
+                tardiness: SimDuration::from_ticks(ticks(obj, "tardiness")?),
+                queue_wait: SimDuration::from_ticks(ticks(obj, "queue_wait")?),
+                service: SimDuration::from_ticks(ticks(obj, "service")?),
+                met_deadline: flag(obj, "met")?,
+            },
+        },
+        Some("rebalance") => Record::Rebalance(match obj.str("action") {
             Some("migration") => RebalanceEvent::Migration {
                 at,
-                key: obj.int("key").ok_or("missing key")? as u32,
-                from: obj.int("from").ok_or("missing from")? as u32,
-                to: obj.int("to").ok_or("missing to")? as u32,
-                txns: obj.int("txns").ok_or("missing txns")? as u32,
-                work_ticks: obj.int("work_ticks").ok_or("missing work_ticks")? as u64,
+                key: int(obj, "key")? as u32,
+                from: int(obj, "from")? as u32,
+                to: int(obj, "to")? as u32,
+                txns: int(obj, "txns")? as u32,
+                work_ticks: ticks(obj, "work_ticks")?,
             },
             other => return Err(format!("unknown rebalance action {other:?}")),
         }),
-        Some("admission") => RecordedEvent::Admission(AdmissionEvent {
+        Some("admission") => Record::Admission(AdmissionEvent {
             at,
-            job: obj.int("job").ok_or("missing job")? as u32,
-            first_txn: TxnId(obj.int("txn").ok_or("missing txn")? as u32),
-            txns: obj.int("txns").ok_or("missing txns")? as u32,
+            job: int(obj, "job")? as u32,
+            first_txn: txn(obj, "txn")?,
+            txns: int(obj, "txns")? as u32,
             overload: match obj.str("reason") {
                 Some("overload") => true,
                 Some("infeasible") => false,
@@ -372,17 +492,15 @@ fn parse_event(obj: &FlatObj) -> Result<(u64, RecordedEvent), String> {
         }),
         other => return Err(format!("unknown event kind {other:?}")),
     };
-    Ok((seq, ev))
+    ticks(obj, "at")?;
+    Ok((ticks(obj, "seq")?, rec))
 }
 
 fn parse_candidate(obj: &FlatObj, prefix: &str) -> Result<Option<Candidate>, String> {
     let Some(txn) = obj.int(&format!("{prefix}_txn")) else {
         return Ok(None);
     };
-    let field = |name: &str| -> Result<i128, String> {
-        obj.int(&format!("{prefix}_{name}"))
-            .ok_or_else(|| format!("missing {prefix}_{name}"))
-    };
+    let field = |name: &str| int(obj, &format!("{prefix}_{name}"));
     Ok(Some(Candidate {
         txn: TxnId(txn as u32),
         workflow: obj.int(&format!("{prefix}_wf")).map(|w| WfId(w as u32)),
@@ -396,7 +514,7 @@ fn parse_candidate(obj: &FlatObj, prefix: &str) -> Result<Option<Candidate>, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{event_line, FlightRecorder};
+    use crate::recorder::{record_line, FlightRecorder};
     use asets_core::obs::Observer;
 
     fn cand(txn: u32, wf: Option<u32>, r: u64, slack: i128, w: u32) -> Candidate {
@@ -427,11 +545,11 @@ mod tests {
         }
     }
 
-    fn dump_of(events: Vec<RecordedEvent>) -> Dump {
-        let text: String = events
+    fn dump_of(records: Vec<Record>) -> Dump {
+        let text: String = records
             .iter()
             .enumerate()
-            .map(|(i, e)| event_line(i as u64, e) + "\n")
+            .map(|(i, e)| record_line(i as u64, e, None) + "\n")
             .collect();
         Dump::parse(&text).unwrap()
     }
@@ -447,7 +565,7 @@ mod tests {
         });
         rec.dispatched(SimTime::from_units_int(8), TxnId(0), None);
         let dump = Dump::parse(&rec.dump()).unwrap();
-        assert_eq!(dump.events.len(), 3);
+        assert_eq!(dump.records.len(), 3);
         let (_, restored) = dump.decisions().next().unwrap();
         assert_eq!(*restored, eq1_record(8));
         assert_eq!(
@@ -455,6 +573,24 @@ mod tests {
                 .len(),
             1
         );
+    }
+
+    #[test]
+    fn header_lines_round_trip() {
+        let mut rec = FlightRecorder::new(4).with_shard(1);
+        rec.engine_phase(SimTime::ZERO, EnginePhase::Maintain, 50);
+        rec.engine_phase(SimTime::ZERO, EnginePhase::Select, 100);
+        let dump = Dump::parse(&rec.dump()).unwrap();
+        assert!(dump.records.is_empty());
+        let phases: Vec<_> = dump.profiles.iter().map(|p| (p.shard, p.phase)).collect();
+        assert_eq!(
+            phases,
+            [
+                (Some(1), EnginePhase::Maintain),
+                (Some(1), EnginePhase::Select)
+            ]
+        );
+        assert_eq!(dump.profiles[1].agg.total_ns, 100);
     }
 
     #[test]
@@ -504,6 +640,19 @@ mod tests {
     }
 
     #[test]
+    fn legacy_span_lines_are_rejected() {
+        // Lifecycle records now live in the flight dump under their own
+        // kinds; a line from the retired `spans.jsonl` stream fails to
+        // parse by name instead of being skipped.
+        let line = r#"{"kind":"span-arrived","at":0,"txn":0,"ready":true}"#;
+        let err = Dump::parse(line).unwrap_err();
+        assert!(
+            err.contains("unknown event kind") && err.contains("span-arrived"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
     fn admission_events_round_trip_and_explain_sheds() {
         let shed = AdmissionEvent {
             at: SimTime::from_units_int(4),
@@ -514,8 +663,8 @@ mod tests {
             inflight: 16,
         };
         let d = dump_of(vec![
-            RecordedEvent::Decision(eq1_record(8)),
-            RecordedEvent::Admission(shed),
+            Record::Decision(eq1_record(8)),
+            Record::Admission(shed),
         ]);
         let restored: Vec<AdmissionEvent> = d.admissions().map(|(_, a)| *a).collect();
         assert_eq!(restored, vec![shed]);
@@ -531,8 +680,8 @@ mod tests {
     #[test]
     fn why_filters_by_txn_and_time() {
         let d = dump_of(vec![
-            RecordedEvent::Decision(eq1_record(8)),
-            RecordedEvent::Decision(eq1_record(11)),
+            Record::Decision(eq1_record(8)),
+            Record::Decision(eq1_record(11)),
         ]);
         assert_eq!(d.why(TxnId(0), None).len(), 2);
         assert_eq!(d.why(TxnId(0), Some(SimTime::from_units_int(11))).len(), 1);
@@ -547,10 +696,7 @@ mod tests {
         let mut narrow = eq1_record(2);
         narrow.impact_edf = 3;
         narrow.impact_hdf = 0;
-        let d = dump_of(vec![
-            RecordedEvent::Decision(narrow),
-            RecordedEvent::Decision(wide),
-        ]);
+        let d = dump_of(vec![Record::Decision(narrow), Record::Decision(wide)]);
         let top = d.top_by_margin(1);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].1.margin(), -100);
@@ -558,14 +704,14 @@ mod tests {
 
     #[test]
     fn check_accepts_consistent_and_flags_corrupted() {
-        let good = dump_of(vec![RecordedEvent::Decision(eq1_record(8))]);
+        let good = dump_of(vec![Record::Decision(eq1_record(8))]);
         assert!(good.check().is_empty());
 
         // Flip the winner: the stored inequality now contradicts it.
         let mut bad = eq1_record(8);
         bad.winner = Winner::Edf;
         bad.chosen = TxnId(1);
-        let d = dump_of(vec![RecordedEvent::Decision(bad)]);
+        let d = dump_of(vec![Record::Decision(bad)]);
         let failures = d.check();
         assert_eq!(failures.len(), 1);
         assert!(failures[0].reason.contains("winner"), "{failures:?}");
@@ -573,7 +719,7 @@ mod tests {
         // Corrupt an impact: derivation catches it.
         let mut skewed = eq1_record(8);
         skewed.impact_hdf += 1;
-        let d = dump_of(vec![RecordedEvent::Decision(skewed)]);
+        let d = dump_of(vec![Record::Decision(skewed)]);
         assert!(d.check()[0].reason.contains("derived"));
     }
 
@@ -597,15 +743,17 @@ mod tests {
 
     #[test]
     fn timeline_cross_check_verifies_workflow_membership() {
-        use crate::span::SpanCollector;
         use crate::timeline::Timeline;
 
-        // Span stream knows W0 = {T0, T2}, W1 = {T1}.
-        let mut c = SpanCollector::new();
-        c.wf_members.push((0, TxnId(0)));
-        c.wf_members.push((0, TxnId(2)));
-        c.wf_members.push((1, TxnId(1)));
-        let tl = Timeline::from_collectors(&[c]);
+        // The membership snapshot knows W0 = {T0, T2}, W1 = {T1}.
+        let header = Dump::parse(
+            r#"{"kind":"wf-member","wf":0,"txn":0}
+{"kind":"wf-member","wf":0,"txn":2}
+{"kind":"wf-member","wf":1,"txn":1}"#,
+        )
+        .unwrap();
+        assert!(header.records.is_empty(), "header lines are not records");
+        let tl = Timeline::from_dump(&header);
 
         // A Fig. 7 decision won by W0's head T0: impacts 6 vs 30 → EDF.
         let u = asets_core::time::TICKS_PER_UNIT as i128;
@@ -621,52 +769,70 @@ mod tests {
             edf_len: 1,
             hdf_len: 1,
         };
-        let good = dump_of(vec![RecordedEvent::Decision(rec)]);
+        let good = dump_of(vec![Record::Decision(rec)]);
         assert!(good.check_against_timeline(&tl).is_empty());
         assert!(good.check_with_spans(&tl).is_empty());
 
         // Same record but the chosen txn belongs to the *other* workflow.
         let mut bad = rec;
         bad.chosen = TxnId(1);
-        let d = dump_of(vec![RecordedEvent::Decision(bad)]);
+        let d = dump_of(vec![Record::Decision(bad)]);
         let fails = d.check_against_timeline(&tl);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].reason.contains("does not belong"), "{fails:?}");
         assert!(fails[0].reason.contains("T1"), "names the txn: {fails:?}");
 
-        // A workflow the span stream never saw.
+        // A workflow the membership snapshot never saw.
         let mut ghost = rec;
         ghost.edf.as_mut().unwrap().workflow = Some(WfId(9));
-        let d = dump_of(vec![RecordedEvent::Decision(ghost)]);
+        let d = dump_of(vec![Record::Decision(ghost)]);
         let fails = d.check_against_timeline(&tl);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].reason.contains("no such workflow"), "{fails:?}");
 
         // Transaction-level decisions (no workflow) are skipped.
-        let txn_level = dump_of(vec![RecordedEvent::Decision(eq1_record(3))]);
+        let txn_level = dump_of(vec![Record::Decision(eq1_record(3))]);
         assert!(txn_level.check_against_timeline(&tl).is_empty());
     }
 
     #[test]
     fn dispatch_mismatch_detection() {
-        let ok = dump_of(vec![
-            RecordedEvent::Decision(eq1_record(8)),
-            RecordedEvent::Dispatch {
-                at: SimTime::from_units_int(8),
-                txn: TxnId(0),
-                preempted: None,
-            },
-        ]);
+        let dispatch = |txn: u32, decision_seq: Option<u64>| Record::Dispatch {
+            at: SimTime::from_units_int(8),
+            txn: TxnId(txn),
+            preempted: None,
+            decision_seq,
+        };
+        let ok = dump_of(vec![Record::Decision(eq1_record(8)), dispatch(0, Some(0))]);
         assert!(ok.dispatch_decision_mismatches().is_empty());
 
+        // A stamp naming a decision that chose someone else, and no stamp
+        // at all in a run whose policy records decisions.
         let bad = dump_of(vec![
-            RecordedEvent::Decision(eq1_record(8)),
-            RecordedEvent::Dispatch {
-                at: SimTime::from_units_int(8),
-                txn: TxnId(7),
-                preempted: None,
-            },
+            Record::Decision(eq1_record(8)),
+            dispatch(7, Some(0)),
+            dispatch(0, None),
         ]);
-        assert_eq!(bad.dispatch_decision_mismatches().len(), 1);
+        let seqs: Vec<u64> = bad
+            .dispatch_decision_mismatches()
+            .iter()
+            .map(|m| m.0)
+            .collect();
+        assert_eq!(seqs, [1, 2]);
+
+        // A policy that records no provenance leaves nothing to check.
+        assert!(dump_of(vec![dispatch(0, None)])
+            .dispatch_decision_mismatches()
+            .is_empty());
+
+        // A stamp into the evicted front of the ring cannot testify.
+        let text = [
+            record_line(5, &Record::Decision(eq1_record(8)), None),
+            record_line(6, &dispatch(3, Some(2)), None),
+        ]
+        .join("\n");
+        let truncated = Dump::parse(&text).unwrap();
+        assert_eq!(truncated.evicted(), 5);
+        assert!(truncated.dispatch_decision_mismatches().is_empty());
     }
 }

@@ -4,25 +4,24 @@
 //! observers behind the `asets_core::obs` hook layer, plus the analysis
 //! library the `asets-obs` CLI is built on.
 //!
-//! * [`FlightRecorder`] — a bounded ring of the last N scheduler events
-//!   (decision provenance, migrations, dispatches) with run-wide
+//! * [`FlightRecorder`] — the one recorder: a bounded ring of the last N
+//!   [`Record`]s (decision provenance, migrations, dispatches stamped with
+//!   their decision's `seq`, and every transaction's `arrival → ready →
+//!   served* → completed` lifecycle) under one sequence counter, with a
+//!   workflow-membership snapshot, a per-phase self-profile and run-wide
 //!   [`MetricsRegistry`] counters/histograms; dumpable on demand
 //!   ([`FlightRecorder::dump_to`]) or on panic ([`PanicDump`]).
 //! * [`MetricsRegistry`] — counters and fixed-bucket [`Histogram`]s with
 //!   Prometheus-text and JSON-lines exporters.
-//! * [`Dump`] — parse a `flight.jsonl` back and query it: why a
+//! * [`Dump`] — the one parser: read a `flight.jsonl` back and query it: why a
 //!   transaction ran, a workflow's EDF↔HDF migration history, top-k
 //!   decisions by margin, and [`Dump::check`], which re-derives every
 //!   recorded winner from its own `r`/`s`/`w` values.
 //! * [`json`] — the flat single-line JSON read/write layer shared by the
 //!   dump and metric formats (the workspace's serde is a no-op shim).
-//! * [`SpanCollector`] / [`SpanRecorder`] — lifecycle span tracing: every
-//!   transaction's `arrival → ready → dispatched → [preempted]* →
-//!   completed` chain with run intervals per server and decision-seq links
-//!   into the flight dump.
-//! * [`Timeline`] — parse/merge span streams, verify span-interval
-//!   invariants, render per-transaction timelines, export Chrome/Perfetto
-//!   trace JSON.
+//! * [`Timeline`] — reassemble the lifecycle records of recorders or a
+//!   dump, verify span-interval invariants, render per-transaction
+//!   timelines, export Chrome/Perfetto trace JSON.
 //! * [`SloMonitor`] / [`QuantileSketch`] — streaming tardiness/queue-wait
 //!   percentiles and windowed deadline-miss ratio in fixed memory.
 //! * [`SamplingObserver`] — deterministic 1-in-N span sampling around any
@@ -76,21 +75,19 @@ pub mod recorder;
 pub mod sample;
 pub mod scrape;
 pub mod slo;
-pub mod span;
 pub mod timeline;
 
-pub use analysis::{derive_impacts, CheckFailure, Dump};
+pub use analysis::{derive_impacts, CheckFailure, Dump, PhaseProfile};
 pub use bus::{BusEvent, BusHandle, BusObserver, BusRing, BusState, TelemetryBus};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::{
-    dump_sharded, event_line, event_line_labeled, FlightRecorder, PanicDump, RecordedEvent,
-    LATENCY_NS_BOUNDS, LIST_LEN_BOUNDS,
+    dump_sharded, record_line, FlightRecorder, PanicDump, PhaseAgg, Record, LATENCY_NS_BOUNDS,
+    LIST_LEN_BOUNDS,
 };
 pub use sample::{SampleCounters, SamplingObserver};
 pub use scrape::{http_get, ScrapeServer};
 pub use slo::{QuantileSketch, SloMonitor, DEFAULT_SLO_WINDOW};
-pub use span::{dump_spans, PhaseAgg, SpanCollector, SpanEvent, SpanRecorder};
-pub use timeline::{DispatchEdge, PhaseProfile, RunSegment, Timeline, TxnTimeline};
+pub use timeline::{DispatchEdge, RunSegment, Timeline, TxnTimeline};
 
 // Re-export the hook layer so downstream users need only one obs import.
 pub use asets_core::obs::{

@@ -1,20 +1,34 @@
-//! The flight recorder: a bounded ring of recent scheduler events plus a
+//! The flight recorder: one sequenced stream of everything the engine,
+//! the policy and the run-level drivers narrate, plus a
 //! [`MetricsRegistry`], dumpable on demand or on panic.
 //!
 //! Attach one recorder to an engine (`Engine::with_observer`) and it
-//! captures, in one ordered stream: decision records with full Eq. 1 /
-//! Fig. 7 provenance, list-migration events, and dispatches. The ring keeps
-//! the **last** `capacity` events — like an aircraft flight recorder, the
-//! interesting part of a crashed run is the tail — while the counters and
-//! histograms aggregate over the *whole* run regardless of ring evictions.
-//! Every event carries a global sequence number, so a truncated dump is
-//! self-describing (`seq` gaps at the front, never in the middle).
+//! captures, in one ordered stream of [`Record`]s: decision records with
+//! full Eq. 1 / Fig. 7 provenance, list migrations, dispatches, and every
+//! transaction's lifecycle (`arrived → ready → served* → completed`). The
+//! recorder is the sequence authority: every record gets the next `seq`,
+//! and each dispatch carries the `seq` of the same-instant decision that
+//! chose it, so "why was this transaction late?" is answered from one
+//! file. The ring keeps the **last** `capacity` records — like an aircraft
+//! flight recorder, the interesting part of a crashed run is the tail —
+//! while the counters and histograms aggregate over the *whole* run. A
+//! truncated dump is self-describing: its `seq` gap is at the front, never
+//! in the middle.
+//!
+//! A dump (`flight.jsonl`) opens with header lines that carry no `seq`:
+//! the workflow-membership snapshot (`wf-member`) and the per-phase
+//! self-profile (`profile`). [`crate::Dump`] parses it back;
+//! [`crate::Timeline`] reassembles the lifecycle records.
 
 use crate::json::JsonObject;
 use crate::metrics::MetricsRegistry;
-use asets_core::obs::{DecisionRecord, MigrationEvent, MigrationSubject, Observer};
+use asets_core::obs::{
+    CompletionInfo, DecisionRecord, EnginePhase, MigrationEvent, MigrationSubject, Observer,
+};
+use asets_core::table::TxnTable;
 use asets_core::time::SimTime;
 use asets_core::txn::TxnId;
+use asets_core::workflow::WorkflowSet;
 use asets_sim::{AdmissionEvent, AdmissionStats, BacklogSeries, RebalanceEvent, RebalanceStats};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -31,14 +45,14 @@ pub const LATENCY_NS_BOUNDS: [u64; 11] = [
 /// List-length / queue-depth buckets (entries).
 pub const LIST_LEN_BOUNDS: [u64; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
-/// One event in the recorder's ring.
+/// One record in the recorder's ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordedEvent {
+pub enum Record {
     /// A scheduling decision with provenance.
     Decision(DecisionRecord),
     /// A list migration.
     Migration(MigrationEvent),
-    /// The server switched to `txn` (engine-level event).
+    /// The engine handed a server to `txn` (a switch, not a resume).
     Dispatch {
         /// When.
         at: SimTime,
@@ -46,6 +60,48 @@ pub enum RecordedEvent {
         txn: TxnId,
         /// The transaction that lost the server mid-work, if any.
         preempted: Option<TxnId>,
+        /// `seq` of the same-instant decision that chose `txn`, when the
+        /// policy recorded one.
+        decision_seq: Option<u64>,
+    },
+    /// The transaction entered the system (`ready` = no open dependencies).
+    Arrived {
+        /// When.
+        at: SimTime,
+        /// Which transaction.
+        txn: TxnId,
+        /// Whether it was immediately schedulable.
+        ready: bool,
+    },
+    /// A blocked transaction's last dependency cleared.
+    Ready {
+        /// When.
+        at: SimTime,
+        /// Which transaction.
+        txn: TxnId,
+    },
+    /// Server `server` ran `txn` over `[from, until)`; `completed` marks the
+    /// segment that finished the transaction.
+    Served {
+        /// Server index within the shard.
+        server: u32,
+        /// Which transaction.
+        txn: TxnId,
+        /// Segment start.
+        from: SimTime,
+        /// Segment end (the settle instant the segment was reported at).
+        until: SimTime,
+        /// Whether the transaction completed at `until`.
+        completed: bool,
+    },
+    /// The transaction finished, with its lifecycle summary.
+    Completed {
+        /// When (== `info.finish`).
+        at: SimTime,
+        /// Which transaction.
+        txn: TxnId,
+        /// Tardiness/queue-wait summary captured at completion.
+        info: CompletionInfo,
     },
     /// A cross-shard migration from a rebalanced sharded run — ingested
     /// post-run via [`FlightRecorder::ingest_rebalance`].
@@ -55,15 +111,72 @@ pub enum RecordedEvent {
     Admission(AdmissionEvent),
 }
 
-impl RecordedEvent {
-    /// The simulation instant of the event.
+impl Record {
+    /// The simulation instant of the record. `Served` segments are
+    /// reported at their end instant.
     pub fn at(&self) -> SimTime {
         match self {
-            RecordedEvent::Decision(r) => r.at,
-            RecordedEvent::Migration(m) => m.at,
-            RecordedEvent::Dispatch { at, .. } => *at,
-            RecordedEvent::Rebalance(RebalanceEvent::Migration { at, .. }) => *at,
-            RecordedEvent::Admission(a) => a.at,
+            Record::Decision(r) => r.at,
+            Record::Migration(m) => m.at,
+            Record::Dispatch { at, .. }
+            | Record::Arrived { at, .. }
+            | Record::Ready { at, .. }
+            | Record::Completed { at, .. } => *at,
+            Record::Served { until, .. } => *until,
+            Record::Rebalance(RebalanceEvent::Migration { at, .. }) => *at,
+            Record::Admission(a) => a.at,
+        }
+    }
+
+    fn remap(&mut self, g: impl Fn(TxnId) -> TxnId) {
+        match self {
+            Record::Decision(r) => {
+                r.chosen = g(r.chosen);
+                if let Some(c) = &mut r.edf {
+                    c.txn = g(c.txn);
+                }
+                if let Some(c) = &mut r.hdf {
+                    c.txn = g(c.txn);
+                }
+            }
+            Record::Migration(m) => {
+                if let MigrationSubject::Txn(t) = &mut m.subject {
+                    *t = g(*t);
+                }
+            }
+            Record::Dispatch { txn, preempted, .. } => {
+                *txn = g(*txn);
+                *preempted = preempted.map(&g);
+            }
+            Record::Arrived { txn, .. }
+            | Record::Ready { txn, .. }
+            | Record::Served { txn, .. }
+            | Record::Completed { txn, .. } => *txn = g(*txn),
+            // Rebalance and admission records come from the sharded
+            // runtime / live front-end, which already speak global ids.
+            Record::Rebalance(_) | Record::Admission(_) => {}
+        }
+    }
+}
+
+/// Wall-clock aggregate for one [`EnginePhase`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseAgg {
+    /// Scheduling points that reported this phase.
+    pub count: u64,
+    /// Total wall-clock nanoseconds across those points.
+    pub total_ns: u64,
+    /// The slowest single occurrence.
+    pub max_ns: u64,
+}
+
+impl PhaseAgg {
+    /// Mean nanoseconds per occurrence (0 when never reported).
+    pub fn mean_ns(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.total_ns as f64 / self.count as f64
         }
     }
 }
@@ -73,9 +186,18 @@ impl RecordedEvent {
 pub struct FlightRecorder {
     capacity: usize,
     next_seq: u64,
-    ring: VecDeque<(u64, RecordedEvent)>,
+    /// Records oldest first; the front one has `seq = next_seq - len`.
+    ring: VecDeque<Record>,
     metrics: MetricsRegistry,
     shard: Option<u32>,
+    /// Workflow membership snapshot, `(wf, txn)` pairs in build order.
+    pub(crate) wf_members: Vec<(u32, TxnId)>,
+    /// Indexed by `EnginePhase::ALL` order.
+    profile: [PhaseAgg; 3],
+    /// Decisions taken at instant `decided_at`, `(seq, chosen)` in order:
+    /// what a dispatch at the same instant stamps its `decision_seq` from.
+    decided_at: SimTime,
+    decided: Vec<(u64, TxnId)>,
 }
 
 impl Default for FlightRecorder {
@@ -85,11 +207,12 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Default ring size: generous for paper-scale runs (a 5000-transaction
-    /// batch emits ~3 events per scheduling point), bounded for sweeps.
+    /// Default ring size: generous for paper-scale runs (a transaction
+    /// costs about six records: arrival, decision, dispatch, one or more
+    /// served segments, completion), bounded for sweeps.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
-    /// Recorder keeping the last `capacity` events.
+    /// Recorder keeping the last `capacity` records.
     pub fn new(capacity: usize) -> FlightRecorder {
         assert!(capacity > 0, "flight recorder needs a non-empty ring");
         let mut metrics = MetricsRegistry::new();
@@ -103,15 +226,33 @@ impl FlightRecorder {
             ring: VecDeque::with_capacity(capacity.min(1024)),
             metrics,
             shard: None,
+            wf_members: Vec::new(),
+            profile: [PhaseAgg::default(); 3],
+            decided_at: SimTime::ZERO,
+            decided: Vec::new(),
         }
     }
 
-    /// Stamp every dumped event line and metric export with a shard label.
+    /// Stamp every dumped line and metric export with a shard label.
     /// Used by the sharded runtime, which gives each shard its own recorder
     /// (`ShardedRuntime::run_observed`) so streams from different shards
     /// stay distinguishable after concatenation.
     pub fn with_shard(mut self, shard: u32) -> FlightRecorder {
         self.shard = Some(shard);
+        self
+    }
+
+    /// Snapshot the workflow membership of `table` so the dump is
+    /// self-contained: `asets-obs check` can verify workflow-level
+    /// decisions against what ran without re-deriving the DAG.
+    pub fn with_workflows_from(mut self, table: &TxnTable) -> FlightRecorder {
+        let wfs = WorkflowSet::build(table);
+        self.wf_members.clear();
+        for w in wfs.ids() {
+            for &t in wfs.members(w) {
+                self.wf_members.push((w.0, t));
+            }
+        }
         self
     }
 
@@ -126,20 +267,22 @@ impl FlightRecorder {
         Rc::new(RefCell::new(FlightRecorder::new(capacity)))
     }
 
-    fn push(&mut self, ev: RecordedEvent) {
+    fn push(&mut self, rec: Record) -> u64 {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
-        self.ring.push_back((self.next_seq, ev));
+        self.ring.push_back(rec);
         self.next_seq += 1;
+        self.next_seq - 1
     }
 
-    /// Events currently in the ring, oldest first, with sequence numbers.
-    pub fn events(&self) -> impl Iterator<Item = (u64, &RecordedEvent)> {
-        self.ring.iter().map(|(s, e)| (*s, e))
+    /// Records currently in the ring, oldest first, with sequence numbers.
+    pub fn records(&self) -> impl Iterator<Item = (u64, &Record)> {
+        let first = self.evicted();
+        (first..).zip(self.ring.iter())
     }
 
-    /// Number of events currently retained.
+    /// Number of records currently retained.
     pub fn len(&self) -> usize {
         self.ring.len()
     }
@@ -150,14 +293,29 @@ impl FlightRecorder {
         self.ring.is_empty()
     }
 
-    /// Total events ever observed (≥ `len()`; the difference was evicted).
+    /// Total records ever observed (≥ `len()`; the difference was evicted).
     pub fn total_recorded(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Records the ring dropped from the front of the run.
+    pub fn evicted(&self) -> u64 {
+        self.next_seq - self.ring.len() as u64
     }
 
     /// The run-wide metrics.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
+    }
+
+    /// The workflow membership snapshot as `(wf, txn)` pairs.
+    pub fn workflow_members(&self) -> &[(u32, TxnId)] {
+        &self.wf_members
+    }
+
+    /// The self-profiling aggregate for `phase`.
+    pub fn phase(&self, phase: EnginePhase) -> PhaseAgg {
+        self.profile[phase as usize]
     }
 
     /// Rewrite shard-local transaction ids to global ids, so per-shard
@@ -166,31 +324,11 @@ impl FlightRecorder {
     /// shard-local; the shard label disambiguates them).
     pub fn remap_txns(&mut self, to_global: &[TxnId]) {
         let g = |t: TxnId| to_global[t.0 as usize];
-        for (_, ev) in &mut self.ring {
-            match ev {
-                RecordedEvent::Decision(r) => {
-                    r.chosen = g(r.chosen);
-                    if let Some(c) = &mut r.edf {
-                        c.txn = g(c.txn);
-                    }
-                    if let Some(c) = &mut r.hdf {
-                        c.txn = g(c.txn);
-                    }
-                }
-                RecordedEvent::Migration(m) => {
-                    if let MigrationSubject::Txn(t) = &mut m.subject {
-                        *t = g(*t);
-                    }
-                }
-                RecordedEvent::Dispatch { txn, preempted, .. } => {
-                    *txn = g(*txn);
-                    *preempted = preempted.map(g);
-                }
-                // Rebalance and admission events come from the sharded
-                // runtime / live front-end, which already speak global
-                // ids — nothing to rewrite.
-                RecordedEvent::Rebalance(_) | RecordedEvent::Admission(_) => {}
-            }
+        for rec in &mut self.ring {
+            rec.remap(g);
+        }
+        for (_, t) in &mut self.wf_members {
+            *t = g(*t);
         }
     }
 
@@ -204,7 +342,7 @@ impl FlightRecorder {
 
     /// Fold a rebalanced run's telemetry into the recorder:
     /// the run-wide totals become counters, the movement log becomes ring
-    /// events (interleaved with whatever the run recorded live, in
+    /// records (interleaved with whatever the run recorded live, in
     /// ingestion order — sequence numbers keep the provenance honest).
     pub fn ingest_rebalance(&mut self, stats: &RebalanceStats) {
         self.metrics
@@ -217,13 +355,13 @@ impl FlightRecorder {
             .add("rebalance_migrated_work_ticks", stats.migrated_work);
         self.metrics.add("rebalance_barriers", stats.barriers);
         for e in &stats.events {
-            self.push(RecordedEvent::Rebalance(*e));
+            self.push(Record::Rebalance(*e));
         }
     }
 
     /// Fold a live run's admission telemetry into the recorder, mirroring
     /// [`FlightRecorder::ingest_rebalance`]: totals become counters, shed
-    /// events become ring events, so `asets-obs why` can answer for a
+    /// events become ring records, so `asets-obs why` can answer for a
     /// transaction that never ran because its job was turned away.
     pub fn ingest_admission(&mut self, stats: &AdmissionStats) {
         self.metrics.add("admission_admitted_jobs", stats.admitted);
@@ -234,18 +372,40 @@ impl FlightRecorder {
         self.metrics
             .add("admission_shed_infeasible_jobs", stats.shed_infeasible);
         for e in &stats.events {
-            self.push(RecordedEvent::Admission(*e));
+            self.push(Record::Admission(*e));
         }
     }
 
-    /// Serialize the ring as JSON lines (see `analysis::Dump` for the
-    /// reader). One flat object per event; candidates are inlined with
+    /// Serialize as JSON lines (see `analysis::Dump` for the reader):
+    /// workflow membership first, then phase profiles, then the ring,
+    /// oldest first. One flat object per line; candidates are inlined with
     /// `edf_`/`hdf_` prefixes. Recorders stamped via
     /// [`FlightRecorder::with_shard`] add a `shard` field to every line.
     pub fn dump(&self) -> String {
         let mut out = String::new();
-        for (seq, ev) in self.events() {
-            out.push_str(&event_line_labeled(seq, ev, self.shard));
+        let members = self.wf_members.iter().map(|&(w, t)| {
+            JsonObject::new()
+                .str("kind", "wf-member")
+                .int("wf", w as i128)
+                .int("txn", t.0 as i128)
+        });
+        let profiles = EnginePhase::ALL.into_iter().filter_map(|p| {
+            let agg = self.phase(p);
+            (agg.count > 0).then(|| {
+                JsonObject::new()
+                    .str("kind", "profile")
+                    .str("phase", p.token())
+                    .int("count", agg.count as i128)
+                    .int("total_ns", agg.total_ns as i128)
+                    .int("max_ns", agg.max_ns as i128)
+            })
+        });
+        for obj in members.chain(profiles) {
+            out.push_str(&finish_line(obj, self.shard));
+            out.push('\n');
+        }
+        for (seq, rec) in self.records() {
+            out.push_str(&record_line(seq, rec, self.shard));
             out.push('\n');
         }
         out
@@ -275,6 +435,8 @@ impl FlightRecorder {
 /// Concatenate several shard recorders' dumps into one stream — each line
 /// already carries its recorder's `shard` field, so the result is a single
 /// self-describing file (`asets-obs` filters on `shard` to split it back).
+/// Under static sharding every transaction's records come from one shard,
+/// so concatenation loses no ordering a reader needs.
 pub fn dump_sharded(recorders: &[FlightRecorder]) -> String {
     recorders.iter().map(|r| r.dump()).collect()
 }
@@ -287,7 +449,12 @@ impl Observer for FlightRecorder {
         }
         self.metrics.observe("edf_list_len", rec.edf_len as u64);
         self.metrics.observe("hdf_list_len", rec.hdf_len as u64);
-        self.push(RecordedEvent::Decision(*rec));
+        if rec.at != self.decided_at {
+            self.decided_at = rec.at;
+            self.decided.clear();
+        }
+        let seq = self.push(Record::Decision(*rec));
+        self.decided.push((seq, rec.chosen));
     }
 
     fn migration(&mut self, ev: &MigrationEvent) {
@@ -296,7 +463,7 @@ impl Observer for FlightRecorder {
         } else {
             "migrations_to_edf_total"
         });
-        self.push(RecordedEvent::Migration(*ev));
+        self.push(Record::Migration(*ev));
     }
 
     fn sched_point(&mut self, _at: SimTime, latency_ns: u64) {
@@ -309,32 +476,79 @@ impl Observer for FlightRecorder {
         if preempted.is_some() {
             self.metrics.inc("preemptions_total");
         }
-        self.push(RecordedEvent::Dispatch { at, txn, preempted });
+        // M > 1 dispatches several choices after several same-instant
+        // decisions; newest first binds a repeated choice to the nearest.
+        let decision_seq = if at == self.decided_at {
+            self.decided
+                .iter()
+                .rev()
+                .find(|&&(_, chosen)| chosen == txn)
+                .map(|&(seq, _)| seq)
+        } else {
+            None
+        };
+        self.push(Record::Dispatch {
+            at,
+            txn,
+            preempted,
+            decision_seq,
+        });
+    }
+
+    fn arrived(&mut self, at: SimTime, txn: TxnId, ready: bool) {
+        self.push(Record::Arrived { at, txn, ready });
+    }
+
+    fn became_ready(&mut self, at: SimTime, txn: TxnId) {
+        self.push(Record::Ready { at, txn });
+    }
+
+    fn served(&mut self, server: u32, txn: TxnId, from: SimTime, until: SimTime, completed: bool) {
+        self.push(Record::Served {
+            server,
+            txn,
+            from,
+            until,
+            completed,
+        });
+    }
+
+    fn completed(&mut self, at: SimTime, txn: TxnId, info: &CompletionInfo) {
+        self.push(Record::Completed {
+            at,
+            txn,
+            info: *info,
+        });
+    }
+
+    fn engine_phase(&mut self, _at: SimTime, phase: EnginePhase, wall_ns: u64) {
+        let agg = &mut self.profile[phase as usize];
+        agg.count += 1;
+        agg.total_ns += wall_ns;
+        agg.max_ns = agg.max_ns.max(wall_ns);
     }
 }
 
-/// Serialize one ring event as a flat JSON line (no trailing newline).
-pub fn event_line(seq: u64, ev: &RecordedEvent) -> String {
-    event_line_labeled(seq, ev, None)
-}
-
-/// [`event_line`] with an optional shard label appended as a `shard` field.
-pub fn event_line_labeled(seq: u64, ev: &RecordedEvent, shard: Option<u32>) -> String {
-    let line = event_line_inner(seq, ev);
+/// Close a line object, appending the shard label when there is one.
+fn finish_line(obj: JsonObject, shard: Option<u32>) -> String {
     match shard {
-        // Lines are flat `{...}` objects; splice the label before the brace.
-        Some(s) => format!("{},\"shard\":{s}}}", &line[..line.len() - 1]),
-        None => line,
+        Some(s) => obj.int("shard", s as i128).finish(),
+        None => obj.finish(),
     }
 }
 
-fn event_line_inner(seq: u64, ev: &RecordedEvent) -> String {
-    match ev {
-        RecordedEvent::Decision(r) => {
-            let mut obj = JsonObject::new()
-                .str("kind", "decision")
-                .int("seq", seq as i128)
-                .int("at", r.at.ticks() as i128)
+/// Serialize one record as a flat JSON line (no trailing newline), with an
+/// optional `shard` label. The one writer behind every dump.
+pub fn record_line(seq: u64, rec: &Record, shard: Option<u32>) -> String {
+    let head = |kind: &str, at: SimTime| {
+        JsonObject::new()
+            .str("kind", kind)
+            .int("seq", seq as i128)
+            .int("at", at.ticks() as i128)
+    };
+    let obj = match rec {
+        Record::Decision(r) => {
+            let mut obj = head("decision", r.at)
                 .str("rule", r.rule.token())
                 .str("winner", r.winner.token())
                 .int("chosen", r.chosen.0 as i128)
@@ -354,31 +568,53 @@ fn event_line_inner(seq: u64, ev: &RecordedEvent) -> String {
                     obj = obj.int(&format!("{prefix}_wf"), w.0 as i128);
                 }
             }
-            obj.finish()
+            obj
         }
-        RecordedEvent::Migration(m) => {
-            let obj = JsonObject::new()
-                .str("kind", "migration")
-                .int("seq", seq as i128)
-                .int("at", m.at.ticks() as i128)
-                .bool("to_hdf", m.to_hdf);
+        Record::Migration(m) => {
+            let obj = head("migration", m.at).bool("to_hdf", m.to_hdf);
             match m.subject {
-                MigrationSubject::Workflow(w) => obj.int("wf", w.0 as i128).finish(),
-                MigrationSubject::Txn(t) => obj.int("txn", t.0 as i128).finish(),
+                MigrationSubject::Workflow(w) => obj.int("wf", w.0 as i128),
+                MigrationSubject::Txn(t) => obj.int("txn", t.0 as i128),
             }
         }
-        RecordedEvent::Dispatch { at, txn, preempted } => {
-            let obj = JsonObject::new()
-                .str("kind", "dispatch")
-                .int("seq", seq as i128)
-                .int("at", at.ticks() as i128)
-                .int("txn", txn.0 as i128);
-            match preempted {
-                Some(p) => obj.int("preempted", p.0 as i128).finish(),
-                None => obj.finish(),
+        Record::Dispatch {
+            at,
+            txn,
+            preempted,
+            decision_seq,
+        } => {
+            let mut obj = head("dispatch", *at).int("txn", txn.0 as i128);
+            if let Some(p) = preempted {
+                obj = obj.int("preempted", p.0 as i128);
             }
+            if let Some(s) = decision_seq {
+                obj = obj.int("decision_seq", *s as i128);
+            }
+            obj
         }
-        RecordedEvent::Rebalance(e) => match *e {
+        Record::Arrived { at, txn, ready } => head("arrived", *at)
+            .int("txn", txn.0 as i128)
+            .bool("ready", *ready),
+        Record::Ready { at, txn } => head("ready", *at).int("txn", txn.0 as i128),
+        Record::Served {
+            server,
+            txn,
+            from,
+            until,
+            completed,
+        } => head("served", *until)
+            .int("txn", txn.0 as i128)
+            .int("server", *server as i128)
+            .int("from", from.ticks() as i128)
+            .bool("completed", *completed),
+        Record::Completed { at, txn, info } => head("completed", *at)
+            .int("txn", txn.0 as i128)
+            .int("deadline", info.deadline.ticks() as i128)
+            .int("tardiness", info.tardiness.ticks() as i128)
+            .int("queue_wait", info.queue_wait.ticks() as i128)
+            .int("service", info.service.ticks() as i128)
+            .bool("met", info.met_deadline),
+        Record::Rebalance(e) => match *e {
             RebalanceEvent::Migration {
                 at,
                 key,
@@ -386,29 +622,22 @@ fn event_line_inner(seq: u64, ev: &RecordedEvent) -> String {
                 to,
                 txns,
                 work_ticks,
-            } => JsonObject::new()
-                .str("kind", "rebalance")
+            } => head("rebalance", at)
                 .str("action", "migration")
-                .int("seq", seq as i128)
-                .int("at", at.ticks() as i128)
                 .int("key", key as i128)
                 .int("from", from as i128)
                 .int("to", to as i128)
                 .int("txns", txns as i128)
-                .int("work_ticks", work_ticks as i128)
-                .finish(),
+                .int("work_ticks", work_ticks as i128),
         },
-        RecordedEvent::Admission(a) => JsonObject::new()
-            .str("kind", "admission")
+        Record::Admission(a) => head("admission", a.at)
             .str("reason", if a.overload { "overload" } else { "infeasible" })
-            .int("seq", seq as i128)
-            .int("at", a.at.ticks() as i128)
             .int("job", a.job as i128)
             .int("txn", a.first_txn.0 as i128)
             .int("txns", a.txns as i128)
-            .int("inflight", a.inflight as i128)
-            .finish(),
-    }
+            .int("inflight", a.inflight as i128),
+    };
+    finish_line(obj, shard)
 }
 
 /// Dump-on-panic guard: holds a recorder handle and a target path; if the
@@ -459,6 +688,7 @@ impl Drop for PanicDump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_flat;
     use asets_core::obs::{Candidate, DecisionRule, Winner};
     use asets_core::time::{SimDuration, Slack};
     use asets_sim::BacklogSample;
@@ -493,9 +723,113 @@ mod tests {
         }
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.total_recorded(), 5);
-        let seqs: Vec<u64> = rec.events().map(|(s, _)| s).collect();
+        let seqs: Vec<u64> = rec.records().map(|(s, _)| s).collect();
         assert_eq!(seqs, vec![2, 3, 4], "oldest evicted, order preserved");
         assert_eq!(rec.metrics().counter("decisions_total"), 5);
+    }
+
+    fn info(finish: u64) -> CompletionInfo {
+        CompletionInfo {
+            finish: SimTime::from_units_int(finish),
+            deadline: SimTime::from_units_int(finish + 1),
+            tardiness: SimDuration::ZERO,
+            queue_wait: SimDuration::from_units_int(1),
+            service: SimDuration::from_units_int(2),
+            met_deadline: true,
+        }
+    }
+
+    fn dispatch_stamps(rec: &FlightRecorder) -> Vec<(TxnId, Option<u64>)> {
+        rec.records()
+            .filter_map(|(_, r)| match r {
+                Record::Dispatch {
+                    txn, decision_seq, ..
+                } => Some((*txn, *decision_seq)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dispatches_stamp_the_same_instant_decision_seq() {
+        let mut rec = FlightRecorder::new(64);
+        rec.decision(&decision(0, 3)); // seq 0
+        rec.migration(&MigrationEvent {
+            at: SimTime::ZERO,
+            subject: MigrationSubject::Txn(TxnId(3)),
+            to_hdf: true,
+        }); // seq 1
+        rec.decision(&decision(0, 5)); // seq 2
+        rec.dispatched(SimTime::ZERO, TxnId(3), None); // seq 3
+        rec.dispatched(SimTime::ZERO, TxnId(5), Some(TxnId(9))); // seq 4
+        rec.decision(&decision(1, 7)); // seq 5
+                                       // A later instant: the stale decision must not match.
+        rec.dispatched(SimTime::from_units_int(2), TxnId(7), None); // seq 6
+        assert_eq!(
+            dispatch_stamps(&rec),
+            vec![(TxnId(3), Some(0)), (TxnId(5), Some(2)), (TxnId(7), None)]
+        );
+    }
+
+    #[test]
+    fn lifecycle_and_header_lines_are_flat_and_shard_labeled() {
+        let mut rec = FlightRecorder::new(8).with_shard(2);
+        rec.wf_members.push((0, TxnId(0)));
+        rec.arrived(SimTime::ZERO, TxnId(0), true);
+        rec.served(0, TxnId(0), SimTime::ZERO, SimTime::from_units_int(2), true);
+        rec.completed(SimTime::from_units_int(2), TxnId(0), &info(2));
+        rec.engine_phase(SimTime::ZERO, EnginePhase::Select, 500);
+        let mut kinds = Vec::new();
+        for line in rec.dump().lines() {
+            let obj = parse_flat(line).expect(line);
+            assert_eq!(obj.int("shard"), Some(2), "{line}");
+            kinds.push(obj.str("kind").unwrap().to_string());
+        }
+        assert_eq!(
+            kinds,
+            ["wf-member", "profile", "arrived", "served", "completed"]
+        );
+    }
+
+    #[test]
+    fn remap_rewrites_every_txn_field() {
+        let mut rec = FlightRecorder::new(8);
+        rec.arrived(SimTime::ZERO, TxnId(0), true);
+        rec.dispatched(SimTime::ZERO, TxnId(0), Some(TxnId(1)));
+        rec.wf_members.push((0, TxnId(1)));
+        rec.remap_txns(&[TxnId(10), TxnId(11)]);
+        let recs: Vec<Record> = rec.records().map(|(_, r)| *r).collect();
+        assert_eq!(
+            recs,
+            [
+                Record::Arrived {
+                    at: SimTime::ZERO,
+                    txn: TxnId(10),
+                    ready: true
+                },
+                Record::Dispatch {
+                    at: SimTime::ZERO,
+                    txn: TxnId(10),
+                    preempted: Some(TxnId(11)),
+                    decision_seq: None
+                }
+            ]
+        );
+        assert_eq!(rec.workflow_members(), &[(0, TxnId(11))]);
+    }
+
+    #[test]
+    fn phase_profile_aggregates() {
+        let mut rec = FlightRecorder::new(1);
+        rec.engine_phase(SimTime::ZERO, EnginePhase::Maintain, 100);
+        rec.engine_phase(SimTime::ZERO, EnginePhase::Maintain, 300);
+        let agg = rec.phase(EnginePhase::Maintain);
+        assert_eq!(agg.count, 2);
+        assert_eq!(agg.total_ns, 400);
+        assert_eq!(agg.max_ns, 300);
+        assert_eq!(agg.mean_ns(), 200.0);
+        assert_eq!(rec.phase(EnginePhase::Dispatch), PhaseAgg::default());
+        assert!(rec.is_empty(), "phases aggregate outside the ring");
     }
 
     #[test]
@@ -554,12 +888,12 @@ mod tests {
         let dump = rec.dump();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 2);
-        let d = crate::json::parse_flat(lines[0]).unwrap();
+        let d = parse_flat(lines[0]).unwrap();
         assert_eq!(d.str("kind"), Some("decision"));
         assert_eq!(d.int("chosen"), Some(4));
         assert_eq!(d.int("edf_slack"), Some(-7));
         assert_eq!(d.str("rule"), Some("eq1"));
-        let p = crate::json::parse_flat(lines[1]).unwrap();
+        let p = parse_flat(lines[1]).unwrap();
         assert_eq!(p.str("kind"), Some("dispatch"));
         assert_eq!(p.int("preempted"), Some(2));
     }
@@ -589,7 +923,7 @@ mod tests {
         assert_eq!(rec.len(), 1);
         let dump = rec.dump();
         let lines: Vec<&str> = dump.lines().collect();
-        let m = crate::json::parse_flat(lines[0]).unwrap();
+        let m = parse_flat(lines[0]).unwrap();
         assert_eq!(m.str("kind"), Some("rebalance"));
         assert_eq!(m.str("action"), Some("migration"));
         assert_eq!(m.int("work_ticks"), Some(40));
@@ -629,12 +963,12 @@ mod tests {
         assert_eq!(rec.len(), 2);
         let dump = rec.dump();
         let lines: Vec<&str> = dump.lines().collect();
-        let o = crate::json::parse_flat(lines[0]).unwrap();
+        let o = parse_flat(lines[0]).unwrap();
         assert_eq!(o.str("kind"), Some("admission"));
         assert_eq!(o.str("reason"), Some("overload"));
         assert_eq!(o.int("txn"), Some(27));
         assert_eq!(o.int("inflight"), Some(12));
-        let i = crate::json::parse_flat(lines[1]).unwrap();
+        let i = parse_flat(lines[1]).unwrap();
         assert_eq!(i.str("reason"), Some("infeasible"));
         assert_eq!(i.int("job"), Some(10));
     }
@@ -649,17 +983,17 @@ mod tests {
         let merged = dump_sharded(&[a, b]);
         let lines: Vec<&str> = merged.lines().collect();
         assert_eq!(lines.len(), 2);
-        let d = crate::json::parse_flat(lines[0]).unwrap();
+        let d = parse_flat(lines[0]).unwrap();
         assert_eq!(d.int("shard"), Some(0));
         assert_eq!(d.str("kind"), Some("decision"));
-        let p = crate::json::parse_flat(lines[1]).unwrap();
+        let p = parse_flat(lines[1]).unwrap();
         assert_eq!(p.int("shard"), Some(1));
         assert_eq!(p.int("txn"), Some(9));
         // Unlabeled recorders emit no shard field at all.
         let mut plain = FlightRecorder::new(8);
         plain.decision(&decision(1, 4));
         let line = plain.dump();
-        let obj = crate::json::parse_flat(line.trim()).unwrap();
+        let obj = parse_flat(line.trim()).unwrap();
         assert_eq!(obj.int("shard"), None);
     }
 

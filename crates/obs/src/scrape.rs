@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A snapshot provider for one route.
 pub type Source = Arc<dyn Fn() -> String + Send + Sync>;
@@ -44,9 +44,10 @@ pub struct ScrapeServer {
 
 /// Poll interval of the nonblocking accept loop.
 const ACCEPT_IDLE: Duration = Duration::from_millis(5);
-/// Per-connection read deadline: a scraper that stalls mid-request gets
-/// cut off rather than wedging the accept thread.
-const READ_TIMEOUT: Duration = Duration::from_millis(500);
+/// Per-connection deadline, one absolute budget for reading the whole
+/// request head and writing the response: a client that stalls or
+/// trickles bytes gets cut off rather than wedging the accept thread.
+const REQUEST_DEADLINE: Duration = Duration::from_millis(500);
 /// Longest request head we accept (method + path + headers).
 const MAX_REQUEST: usize = 8 * 1024;
 
@@ -107,9 +108,8 @@ impl Drop for ScrapeServer {
 /// Read the request head, route it, write one response. Any I/O failure
 /// just drops the connection — the scraper retries next interval.
 fn serve_one(mut stream: TcpStream, metrics: &Source, slo: &Source) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
-    let path = match read_request_path(&mut stream) {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let path = match read_request_path(&mut stream, deadline) {
         Some(p) => p,
         None => return,
     };
@@ -127,6 +127,10 @@ fn serve_one(mut stream: TcpStream, metrics: &Source, slo: &Source) {
             "not found\n".into(),
         ),
     };
+    let Some(left) = remaining(deadline) else {
+        return;
+    };
+    let _ = stream.set_write_timeout(Some(left));
     let _ = write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -135,12 +139,22 @@ fn serve_one(mut stream: TcpStream, metrics: &Source, slo: &Source) {
     let _ = stream.flush();
 }
 
+/// Time left before `deadline`, or `None` once it has passed.
+fn remaining(deadline: Instant) -> Option<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|d| !d.is_zero())
+}
+
 /// Read until the blank line ending the request head and return the
-/// request-target of a GET, or `None` for anything malformed.
-fn read_request_path(stream: &mut TcpStream) -> Option<String> {
+/// request-target of a GET, or `None` for anything malformed or not
+/// complete by `deadline`. Each read waits at most the time left, so the
+/// deadline bounds the whole head, not each byte.
+fn read_request_path(stream: &mut TcpStream, deadline: Instant) -> Option<String> {
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     loop {
+        stream.set_read_timeout(Some(remaining(deadline)?)).ok()?;
         let n = stream.read(&mut chunk).ok()?;
         if n == 0 {
             return None;
@@ -222,5 +236,50 @@ mod tests {
         assert_eq!(code, 200);
         server.stop();
         server.stop(); // second stop is a no-op, and Drop after this is too
+    }
+
+    /// Connect and send a request head one byte every 100 ms — slow enough
+    /// to never finish inside the deadline — until `quit` is set, then hand
+    /// back the still-open client socket.
+    fn trickle(addr: SocketAddr, quit: Arc<AtomicBool>) -> JoinHandle<TcpStream> {
+        std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            for b in b"GET /metrics HTTP/1.1\r\nHost: x\r\n".iter().cycle() {
+                if quit.load(Ordering::Acquire) || s.write_all(&[*b]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            s
+        })
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_hold_the_endpoint() {
+        let mut server = test_server();
+        let quit = Arc::new(AtomicBool::new(false));
+        let first = trickle(server.addr(), Arc::clone(&quit));
+        std::thread::sleep(Duration::from_millis(50)); // accepted first
+        let asked = Instant::now();
+        let (code, body) = http_get(server.addr(), "/health").expect("health answered");
+        assert_eq!((code, body.as_str()), (200, "ok\n"));
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "{:?}",
+            asked.elapsed()
+        );
+
+        // Stop while a trickler is mid-request on the accept thread.
+        let second = trickle(server.addr(), Arc::clone(&quit));
+        std::thread::sleep(Duration::from_millis(50));
+        let stopping = Instant::now();
+        server.stop();
+        assert!(
+            stopping.elapsed() < REQUEST_DEADLINE + Duration::from_millis(500),
+            "stop took {:?}",
+            stopping.elapsed()
+        );
+        quit.store(true, Ordering::Release);
+        drop((first.join().unwrap(), second.join().unwrap()));
     }
 }

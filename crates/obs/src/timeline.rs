@@ -1,11 +1,14 @@
-//! The read side of lifecycle tracing: parse span dumps back, merge
-//! shards, verify span-interval invariants, render per-transaction
+//! The lifecycle view of a flight dump: reassemble every transaction's
+//! records, verify span-interval invariants, render per-transaction
 //! timelines, and export Chrome/Perfetto trace-event JSON.
 //!
-//! A [`Timeline`] is built either from in-memory [`SpanCollector`]s
-//! ([`Timeline::from_collectors`], which k-way merges the per-shard streams
-//! by instant — the PR 3 merge discipline) or by parsing a `spans.jsonl`
-//! ([`Timeline::parse`] / [`Timeline::load`]). Once built it answers:
+//! A [`Timeline`] is built from in-memory recorders
+//! ([`Timeline::from_recorders`]) or from a parsed dump
+//! ([`Timeline::from_dump`]); both walk the same [`Record`]s, with no text
+//! round trip. Shards' records are taken one recorder after another: under
+//! static sharding every transaction's records come from one shard, so a
+//! transaction's chain is the same whatever the shard order. Once built it
+//! answers:
 //!
 //! * [`Timeline::of`] — the complete arrival→completion span chain of one
 //!   transaction ([`TxnTimeline::render`] prints it);
@@ -17,15 +20,14 @@
 //!   instant marker per preemption. Emission order is deterministic, so
 //!   the export is byte-stable for a fixed workload (golden-tested).
 
-use crate::json::parse_flat;
-use crate::span::{dump_spans, PhaseAgg, SpanCollector};
-use asets_core::obs::{CompletionInfo, EnginePhase};
+use crate::analysis::Dump;
+use crate::recorder::{FlightRecorder, Record};
+use asets_core::obs::CompletionInfo;
 use asets_core::time::{SimDuration, SimTime, TICKS_PER_UNIT};
 use asets_core::txn::TxnId;
 use asets_core::workflow::WfId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A dispatch edge: the engine handed the transaction a server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,141 +182,96 @@ impl TxnTimeline {
     }
 }
 
-/// One shard's self-profiling aggregate for one engine phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseProfile {
-    /// Shard label (None for unsharded runs).
-    pub shard: Option<u32>,
-    /// Which engine phase.
-    pub phase: EnginePhase,
-    /// The aggregate.
-    pub agg: PhaseAgg,
-}
-
-/// A merged, queryable view over one or more span streams.
+/// A merged, queryable view over one or more recorders' lifecycle
+/// records.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     txns: BTreeMap<u32, TxnTimeline>,
     /// `(shard, wf) → members`, shard `None` sorted first.
     wf_members: BTreeMap<(Option<u32>, u32), Vec<TxnId>>,
-    profiles: Vec<PhaseProfile>,
+    /// Records the recorders' rings evicted before the view was built.
+    evicted: u64,
 }
 
 impl Timeline {
-    /// Merge in-memory collectors (k-way by instant, ties to the lower
-    /// index) and reassemble. Collectors from a sharded run must already be
-    /// remapped to global ids (`SpanCollector::remap_txns`).
-    pub fn from_collectors(collectors: &[SpanCollector]) -> Timeline {
-        Timeline::parse(&dump_spans(collectors)).expect("collector dumps always parse")
-    }
-
-    /// Parse a span dump (possibly a multi-shard merge). Lines with kinds
-    /// other than the span family are ignored, so a stream interleaved with
-    /// flight-recorder lines still parses.
-    pub fn parse(text: &str) -> Result<Timeline, String> {
+    /// Reassemble in-memory recorders, taken in order. Recorders from a
+    /// sharded run must already be remapped to global ids
+    /// (`FlightRecorder::remap_txns`).
+    pub fn from_recorders(recorders: &[FlightRecorder]) -> Timeline {
         let mut tl = Timeline::default();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
+        for r in recorders {
+            for &(w, t) in r.workflow_members() {
+                tl.add_member(r.shard(), w, t);
             }
-            let obj = parse_flat(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let err = |what: &str| format!("line {}: missing {what}", i + 1);
-            let shard = obj.int("shard").map(|s| s as u32);
-            let txn_of = |key: &str| -> Result<TxnId, String> {
-                obj.int(key)
-                    .map(|t| TxnId(t as u32))
-                    .ok_or_else(|| err(key))
-            };
-            let time_of = |key: &str| -> Result<SimTime, String> {
-                obj.int(key)
-                    .map(|t| SimTime::from_ticks(t as u64))
-                    .ok_or_else(|| err(key))
-            };
-            let dur_of = |key: &str| -> Result<SimDuration, String> {
-                obj.int(key)
-                    .map(|t| SimDuration::from_ticks(t as u64))
-                    .ok_or_else(|| err(key))
-            };
-            match obj.str("kind") {
-                Some("wf-member") => {
-                    let w = obj.int("wf").ok_or_else(|| err("wf"))? as u32;
-                    tl.wf_members
-                        .entry((shard, w))
-                        .or_default()
-                        .push(txn_of("txn")?);
-                }
-                Some("profile") => {
-                    let phase = obj
-                        .str("phase")
-                        .and_then(EnginePhase::parse)
-                        .ok_or_else(|| err("phase"))?;
-                    tl.profiles.push(PhaseProfile {
-                        shard,
-                        phase,
-                        agg: PhaseAgg {
-                            count: obj.int("count").ok_or_else(|| err("count"))? as u64,
-                            total_ns: obj.int("total_ns").ok_or_else(|| err("total_ns"))? as u64,
-                            max_ns: obj.int("max_ns").ok_or_else(|| err("max_ns"))? as u64,
-                        },
-                    });
-                }
-                Some("span-arrived") => {
-                    let t = tl.entry(txn_of("txn")?, shard);
-                    t.arrived = Some((
-                        time_of("at")?,
-                        obj.bool("ready").ok_or_else(|| err("ready"))?,
-                    ));
-                }
-                Some("span-ready") => {
-                    tl.entry(txn_of("txn")?, shard).ready_at = Some(time_of("at")?);
-                }
-                Some("span-dispatch") => {
-                    let at = time_of("at")?;
-                    let txn = txn_of("txn")?;
-                    let displaced = obj.int("displaced").map(|p| TxnId(p as u32));
-                    let decision_seq = obj.int("decision_seq").map(|s| s as u64);
-                    tl.entry(txn, shard).dispatches.push(DispatchEdge {
-                        at,
-                        displaced,
-                        decision_seq,
-                    });
-                    if let Some(victim) = displaced {
-                        tl.entry(victim, shard).preempted.push((at, txn));
-                    }
-                }
-                Some("span-served") => {
-                    let t = tl.entry(txn_of("txn")?, shard);
-                    t.push_served(
-                        obj.int("server").ok_or_else(|| err("server"))? as u32,
-                        time_of("from")?,
-                        time_of("until")?,
-                        obj.bool("completed").ok_or_else(|| err("completed"))?,
-                    );
-                }
-                Some("span-completed") => {
-                    let at = time_of("at")?;
-                    let t = tl.entry(txn_of("txn")?, shard);
-                    t.completion = Some(CompletionInfo {
-                        finish: at,
-                        deadline: time_of("deadline")?,
-                        tardiness: dur_of("tardiness")?,
-                        queue_wait: dur_of("queue_wait")?,
-                        service: dur_of("service")?,
-                        met_deadline: obj.bool("met").ok_or_else(|| err("met"))?,
-                    });
-                }
-                // Foreign kinds (flight-recorder lines etc.) pass through.
-                _ => {}
+            for (_, rec) in r.records() {
+                tl.add(r.shard(), rec);
             }
+            tl.evicted += r.evicted();
         }
-        Ok(tl)
+        tl
     }
 
-    /// Read and parse a `spans.jsonl`.
-    pub fn load(path: &Path) -> Result<Timeline, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Timeline::parse(&text)
+    /// Reassemble a parsed dump (possibly several shards concatenated).
+    pub fn from_dump(dump: &Dump) -> Timeline {
+        let mut tl = Timeline::default();
+        for &(shard, w, t) in &dump.wf_members {
+            tl.add_member(shard, w, t);
+        }
+        for ((_, rec), shard) in dump.records.iter().zip(&dump.shards) {
+            tl.add(*shard, rec);
+        }
+        tl.evicted = dump.evicted();
+        tl
+    }
+
+    fn add_member(&mut self, shard: Option<u32>, w: u32, t: TxnId) {
+        self.wf_members.entry((shard, w)).or_default().push(t);
+    }
+
+    fn add(&mut self, shard: Option<u32>, rec: &Record) {
+        match *rec {
+            Record::Arrived { at, txn, ready } => {
+                self.entry(txn, shard).arrived = Some((at, ready));
+            }
+            Record::Ready { at, txn } => self.entry(txn, shard).ready_at = Some(at),
+            Record::Dispatch {
+                at,
+                txn,
+                preempted,
+                decision_seq,
+            } => {
+                self.entry(txn, shard).dispatches.push(DispatchEdge {
+                    at,
+                    displaced: preempted,
+                    decision_seq,
+                });
+                if let Some(victim) = preempted {
+                    self.entry(victim, shard).preempted.push((at, txn));
+                }
+            }
+            Record::Served {
+                server,
+                txn,
+                from,
+                until,
+                completed,
+            } => self
+                .entry(txn, shard)
+                .push_served(server, from, until, completed),
+            Record::Completed { at, txn, info } => {
+                self.entry(txn, shard).completion = Some(CompletionInfo { finish: at, ..info });
+            }
+            Record::Decision(_)
+            | Record::Migration(_)
+            | Record::Rebalance(_)
+            | Record::Admission(_) => {}
+        }
+    }
+
+    /// Records the rings evicted before this view was built. A non-zero
+    /// count means the head of some timelines is missing.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
     }
 
     fn entry(&mut self, txn: TxnId, shard: Option<u32>) -> &mut TxnTimeline {
@@ -352,18 +309,16 @@ impl Timeline {
             .map(|((_, w), _)| WfId(*w))
     }
 
-    /// Self-profiling aggregates, in parse order (per shard, per phase).
-    pub fn profiles(&self) -> &[PhaseProfile] {
-        &self.profiles
-    }
-
     /// Total preempt span-edges in the trace.
     pub fn preemption_edges(&self) -> u64 {
         self.txns.values().map(|t| t.preempted.len() as u64).sum()
     }
 
     /// Verify span-interval invariants. Returns human-readable violations
-    /// (empty = trace is consistent):
+    /// (empty = trace is consistent). A view whose rings evicted records
+    /// returns exactly one failure saying so: with the head of the run gone,
+    /// per-transaction and per-server checks would report violations that
+    /// never happened. Otherwise:
     ///
     /// * per (shard, server), run segments never overlap;
     /// * when `expected_preemptions` is given (the pool's `RunStats`
@@ -372,6 +327,13 @@ impl Timeline {
     ///   completing segment ends at the completion instant, and total
     ///   served time equals the recorded service requirement.
     pub fn check(&self, expected_preemptions: Option<u64>) -> Vec<String> {
+        if self.evicted > 0 {
+            return vec![format!(
+                "ring evicted the first {} records; lifecycle checks need the whole run \
+                 (record with a larger capacity)",
+                self.evicted
+            )];
+        }
         let mut fails = Vec::new();
 
         // Per-(shard, server) interval overlap. Values are (from, until,
@@ -588,10 +550,10 @@ mod tests {
         SimTime::from_units_int(u)
     }
 
-    fn collector_with_preemption() -> SpanCollector {
+    fn recorder_with_preemption() -> FlightRecorder {
         // T0 arrives ready, runs [0,2), is preempted by T1 at 2, T1 runs
         // [2,3) and completes, T0 resumes [3,5) and completes.
-        let mut c = SpanCollector::new();
+        let mut c = FlightRecorder::new(64);
         c.arrived(SimTime::ZERO, TxnId(0), true);
         c.dispatched(SimTime::ZERO, TxnId(0), None);
         c.arrived(units(2), TxnId(1), true);
@@ -629,7 +591,14 @@ mod tests {
 
     #[test]
     fn round_trip_reassembles_lifecycles() {
-        let tl = Timeline::from_collectors(&[collector_with_preemption()]);
+        let rec = recorder_with_preemption();
+        let tl = Timeline::from_recorders(std::slice::from_ref(&rec));
+        let parsed = Timeline::from_dump(&Dump::parse(&rec.dump()).unwrap());
+        assert_eq!(
+            parsed.txns().collect::<Vec<_>>(),
+            tl.txns().collect::<Vec<_>>(),
+            "the dump and the recorder build the same view"
+        );
         let t0 = tl.of(TxnId(0)).unwrap();
         assert_eq!(t0.arrived, Some((SimTime::ZERO, true)));
         assert_eq!(t0.segments.len(), 2, "split by the preemption");
@@ -646,13 +615,13 @@ mod tests {
 
     #[test]
     fn check_catches_overlap_and_preempt_miscount() {
-        let mut c = SpanCollector::new();
+        let mut c = FlightRecorder::new(64);
         c.arrived(SimTime::ZERO, TxnId(0), true);
         c.arrived(SimTime::ZERO, TxnId(1), true);
         // Overlapping intervals on server 0.
         c.served(0, TxnId(0), SimTime::ZERO, units(3), true);
         c.served(0, TxnId(1), units(1), units(4), true);
-        let tl = Timeline::from_collectors(&[c]);
+        let tl = Timeline::from_recorders(&[c]);
         let fails = tl.check(Some(2));
         assert!(
             fails.iter().any(|f| f.contains("concurrently")),
@@ -666,12 +635,12 @@ mod tests {
 
     #[test]
     fn coalesces_contiguous_segments() {
-        let mut c = SpanCollector::new();
+        let mut c = FlightRecorder::new(64);
         c.arrived(SimTime::ZERO, TxnId(0), true);
         c.served(0, TxnId(0), SimTime::ZERO, units(1), false);
         c.served(0, TxnId(0), units(1), units(2), false);
         c.served(0, TxnId(0), units(3), units(4), true);
-        let tl = Timeline::from_collectors(&[c]);
+        let tl = Timeline::from_recorders(&[c]);
         let t = tl.of(TxnId(0)).unwrap();
         assert_eq!(t.segments.len(), 2, "gap splits, adjacency coalesces");
         assert_eq!(t.segments[0].until, units(2));
@@ -679,7 +648,7 @@ mod tests {
 
     #[test]
     fn render_lists_the_full_chain() {
-        let tl = Timeline::from_collectors(&[collector_with_preemption()]);
+        let tl = Timeline::from_recorders(&[recorder_with_preemption()]);
         let text = tl.of(TxnId(0)).unwrap().render(TxnId(0), None);
         let expect_order = [
             "arrived",
@@ -704,9 +673,8 @@ mod tests {
 
     #[test]
     fn perfetto_export_is_valid_shaped_json() {
-        let mut c = collector_with_preemption().with_shard(1);
-        c.engine_phase(SimTime::ZERO, EnginePhase::Select, 100);
-        let tl = Timeline::from_collectors(&[c]);
+        let c = recorder_with_preemption().with_shard(1);
+        let tl = Timeline::from_recorders(&[c]);
         let json = tl.to_perfetto();
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.trim_end().ends_with("]}"));
@@ -726,8 +694,8 @@ mod tests {
 
     #[test]
     fn sharded_streams_keep_separate_servers_and_workflows() {
-        let mut a = SpanCollector::new().with_shard(0);
-        let mut b = SpanCollector::new().with_shard(1);
+        let mut a = FlightRecorder::new(64).with_shard(0);
+        let mut b = FlightRecorder::new(64).with_shard(1);
         a.arrived(SimTime::ZERO, TxnId(0), true);
         a.served(0, TxnId(0), SimTime::ZERO, units(2), true);
         b.arrived(SimTime::ZERO, TxnId(1), true);
@@ -735,7 +703,7 @@ mod tests {
         b.served(0, TxnId(1), SimTime::ZERO, units(2), true);
         a.wf_members.push((0, TxnId(0)));
         b.wf_members.push((0, TxnId(1)));
-        let tl = Timeline::from_collectors(&[a, b]);
+        let tl = Timeline::from_recorders(&[a, b]);
         assert!(tl.check(Some(0)).is_empty(), "{:?}", tl.check(Some(0)));
         assert_eq!(tl.workflow_members(Some(0), WfId(0)), &[TxnId(0)]);
         assert_eq!(tl.workflow_members(Some(1), WfId(0)), &[TxnId(1)]);
@@ -743,13 +711,37 @@ mod tests {
     }
 
     #[test]
-    fn profiles_parse_back() {
-        let mut c = SpanCollector::new();
-        c.engine_phase(SimTime::ZERO, EnginePhase::Maintain, 50);
-        c.engine_phase(SimTime::ZERO, EnginePhase::Select, 100);
-        let tl = Timeline::from_collectors(&[c]);
-        assert_eq!(tl.profiles().len(), 2);
-        assert_eq!(tl.profiles()[0].phase, EnginePhase::Maintain);
-        assert_eq!(tl.profiles()[1].agg.total_ns, 100);
+    fn eviction_is_one_failure_not_false_violations() {
+        let mut small = FlightRecorder::new(4);
+        let full = recorder_with_preemption();
+        for (_, rec) in full.records() {
+            replay(&mut small, rec);
+        }
+        let tl = Timeline::from_recorders(&[small]);
+        assert_eq!(tl.evicted(), full.len() as u64 - 4);
+        let fails = tl.check(Some(1));
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].starts_with("ring evicted the first"), "{fails:?}");
+        assert!(Timeline::from_recorders(&[full]).check(Some(1)).is_empty());
+    }
+
+    /// Feed one recorded lifecycle record back through the hooks.
+    fn replay(rec: &mut FlightRecorder, r: &Record) {
+        match *r {
+            Record::Arrived { at, txn, ready } => rec.arrived(at, txn, ready),
+            Record::Ready { at, txn } => rec.became_ready(at, txn),
+            Record::Dispatch {
+                at, txn, preempted, ..
+            } => rec.dispatched(at, txn, preempted),
+            Record::Served {
+                server,
+                txn,
+                from,
+                until,
+                completed,
+            } => rec.served(server, txn, from, until, completed),
+            Record::Completed { at, txn, info } => rec.completed(at, txn, &info),
+            _ => unreachable!("lifecycle fixture only"),
+        }
     }
 }

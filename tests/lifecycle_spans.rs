@@ -1,17 +1,19 @@
 //! Lifecycle-span invariants on the sharded runtime.
 //!
-//! The span stream is only useful evidence if it is *consistent* physics:
+//! The flight recorder's lifecycle records are only useful evidence if
+//! they are *consistent* physics:
 //! a server can run one transaction at a time, every preemption the stats
 //! count must appear as a preempt span-edge, and the per-transaction chain
 //! must be causal (arrival ≤ ready ≤ first run, completing run ends at the
 //! finish instant, served time sums to the service demand). This suite
 //! pins all of that under proptest for multi-server runs at K=1 and K=4,
-//! checks the streaming SLO sketch against exact offline percentiles, and
+//! checks the streaming SLO sketch against exact offline percentiles,
 //! byte-compares the Perfetto export of a fixed workload against a golden
-//! file.
+//! file, ties every dispatch to the decision record that caused it, and
+//! pins what a bounded ring that evicted the head of the run reports.
 
 use asets_core::prelude::*;
-use asets_obs::{QuantileSketch, SpanCollector, Timeline};
+use asets_obs::{Dump, FlightRecorder, QuantileSketch, Record, Timeline};
 use asets_sim::ShardedRuntime;
 use proptest::prelude::*;
 
@@ -57,26 +59,37 @@ fn workload_strategy(max_n: usize) -> impl Strategy<Value = Vec<TxnSpec>> {
     })
 }
 
-/// Run `specs` sharded with a span collector per shard and return the
-/// merged timeline (global ids) plus the merged run stats.
+/// Run `specs` sharded with a flight recorder (ring of `capacity`) per
+/// shard and return the recorders (global ids) plus the merged run stats.
+fn recorded_run(
+    specs: Vec<TxnSpec>,
+    shards: usize,
+    servers: usize,
+    capacity: usize,
+) -> (Vec<FlightRecorder>, asets_sim::RunStats) {
+    let (result, mut recorders) = ShardedRuntime::new(specs, PolicyKind::asets_star())
+        .shards(shards)
+        .servers(servers)
+        .run_observed(|shard, table| {
+            FlightRecorder::new(capacity)
+                .with_shard(shard as u32)
+                .with_workflows_from(table)
+        })
+        .expect("acyclic");
+    for (r, run) in recorders.iter_mut().zip(&result.shards) {
+        r.remap_txns(&run.txns);
+    }
+    (recorders, result.merged.stats)
+}
+
+/// [`recorded_run`] with a ring that never evicts, as the merged timeline.
 fn traced_run(
     specs: Vec<TxnSpec>,
     shards: usize,
     servers: usize,
 ) -> (Timeline, asets_sim::RunStats) {
-    let (result, mut collectors) = ShardedRuntime::new(specs, PolicyKind::asets_star())
-        .shards(shards)
-        .servers(servers)
-        .run_observed(|shard, table| {
-            SpanCollector::new()
-                .with_shard(shard as u32)
-                .with_workflows_from(table)
-        })
-        .expect("acyclic");
-    for (c, run) in collectors.iter_mut().zip(&result.shards) {
-        c.remap_txns(&run.txns);
-    }
-    (Timeline::from_collectors(&collectors), result.merged.stats)
+    let (recorders, stats) = recorded_run(specs, shards, servers, 1 << 20);
+    (Timeline::from_recorders(&recorders), stats)
 }
 
 proptest! {
@@ -194,4 +207,85 @@ fn perfetto_export_is_structurally_valid() {
         stats.preemptions,
         "one instant per preemption"
     );
+}
+
+/// The recorder stamps each dispatch with the `seq` of the decision that
+/// chose it. On the deep-chain K=2, M=2 run every dispatch carries a stamp,
+/// and the stamp names a decision record of the same shard in the same
+/// dump, at the same instant, choosing the same transaction.
+#[test]
+fn every_dispatch_names_its_decision_record() {
+    let specs = asets_workload::deep_chains(12, 3);
+    let (recorders, stats) = recorded_run(specs, 2, 2, 1 << 20);
+    let dump = Dump::parse(&asets_obs::dump_sharded(&recorders)).expect("dump parses");
+    let mut decisions = std::collections::HashMap::new();
+    for ((seq, rec), shard) in dump.records.iter().zip(&dump.shards) {
+        if let Record::Decision(d) = rec {
+            decisions.insert((*shard, *seq), (d.at, d.chosen));
+        }
+    }
+    let mut dispatches = 0;
+    for ((seq, rec), shard) in dump.records.iter().zip(&dump.shards) {
+        let Record::Dispatch {
+            at,
+            txn,
+            decision_seq,
+            ..
+        } = rec
+        else {
+            continue;
+        };
+        dispatches += 1;
+        let d = decision_seq.unwrap_or_else(|| panic!("dispatch #{seq} of {txn} is unstamped"));
+        assert_eq!(
+            decisions.get(&(*shard, d)),
+            Some(&(*at, *txn)),
+            "dispatch #{seq} of {txn} at {at:?} (shard {shard:?}) names decision #{d}"
+        );
+    }
+    assert!(dispatches as u64 >= stats.completed, "every txn dispatched");
+    assert!(dump.dispatch_decision_mismatches().is_empty());
+}
+
+/// A bounded ring on a 60-transaction run evicts the head of the run,
+/// lifecycle records included. The rebuilt timeline then reports one
+/// eviction failure naming the count, not per-transaction causality
+/// violations that never happened; the same run with a ring that holds
+/// everything checks clean, from the recorders and from the parsed dump.
+#[test]
+fn evicted_ring_reports_one_failure_instead_of_false_violations() {
+    let spec = asets_workload::TableISpec {
+        n_txns: 60,
+        ..asets_workload::TableISpec::general_case(0.9)
+    };
+    let specs = asets_workload::generate(&spec, 7).unwrap();
+
+    let (small, stats) = recorded_run(specs.clone(), 1, 1, 16);
+    let evicted = small[0].total_recorded() - 16;
+    assert!(evicted > 0, "a 16-record ring must evict on 60 txns");
+    for tl in [
+        Timeline::from_recorders(&small),
+        Timeline::from_dump(&Dump::parse(&small[0].dump()).unwrap()),
+    ] {
+        assert_eq!(tl.evicted(), evicted);
+        let fails = tl.check(Some(stats.preemptions));
+        assert_eq!(
+            fails,
+            [format!(
+                "ring evicted the first {evicted} records; lifecycle checks need the whole run \
+                 (record with a larger capacity)"
+            )]
+        );
+    }
+
+    let (full, stats) = recorded_run(specs, 1, 1, 1 << 20);
+    assert_eq!(full[0].evicted(), 0);
+    for tl in [
+        Timeline::from_recorders(&full),
+        Timeline::from_dump(&Dump::parse(&full[0].dump()).unwrap()),
+    ] {
+        assert_eq!(tl.evicted(), 0);
+        assert!(tl.check(Some(stats.preemptions)).is_empty());
+        assert_eq!(tl.txns().count(), 60);
+    }
 }

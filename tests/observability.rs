@@ -8,7 +8,7 @@ use asets_core::obs::{DecisionRule, Winner};
 use asets_core::policy::PolicyKind;
 use asets_core::prelude::*;
 use asets_experiments::obs_support::run_observed;
-use asets_obs::{Dump, RecordedEvent};
+use asets_obs::{Dump, Record};
 use asets_sim::TraceEvent;
 
 fn observed_dump(specs: Vec<TxnSpec>, kind: PolicyKind) -> (asets_sim::SimResult, Dump) {
@@ -45,7 +45,7 @@ fn every_dispatch_is_explained_by_a_decision() {
             }
         }
         assert!(dispatches > 0, "{}: trace saw no dispatches", kind.label());
-        // The dump's own cross-check (decision-seq adjacency) agrees.
+        // The dump's own cross-check (each dispatch's decision_seq) agrees.
         assert!(
             dump.dispatch_decision_mismatches().is_empty(),
             "{}: {:?}",
@@ -116,9 +116,9 @@ fn fig7_dump_is_self_consistent_end_to_end() {
         .all(|(_, r)| r.rule == DecisionRule::Fig7Paper));
     // Decision records and dispatch events agree with the trace counters.
     let dispatches = dump
-        .events
+        .records
         .iter()
-        .filter(|(_, e)| matches!(e, RecordedEvent::Dispatch { .. }))
+        .filter(|(_, e)| matches!(e, Record::Dispatch { .. }))
         .count();
     let traced = result
         .trace
